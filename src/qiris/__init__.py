@@ -33,7 +33,6 @@ from .rainbow_table import (
     Chain,
     RainbowTable,
     build_buckets,
-    end_hash_indices,
     generate_table,
     load_table,
     save_table,
@@ -44,7 +43,6 @@ from .search import (
     crack,
     crack_classical,
     crack_classical_scan,
-    membership_classical,
     rebuild_chain,
 )
 
@@ -70,14 +68,12 @@ __all__ = [
     "crack",
     "crack_classical",
     "crack_classical_scan",
-    "end_hash_indices",
     "generate_table",
     "grover_iterations",
     "grover_search",
     "load_table",
     "md5_hex",
     "measure",
-    "membership_classical",
     "normalize_digest",
     "pearson16",
     "prepare_state",

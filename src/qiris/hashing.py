@@ -9,7 +9,9 @@ import hashlib
 import re
 from dataclasses import dataclass
 
-from .prng import MASK64, SplitMix64
+import numpy as np
+
+from .prng import GAMMA, MASK64, splitmix64_block
 
 BASE62_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -20,6 +22,9 @@ PERMUTATION_SIZE = 65535
 DEFAULT_PERM_SEED = 44
 
 _HEX_DIGEST_RE = re.compile(r"^[0-9a-fA-F]{32}$")
+
+# Shuffle draws are made this many at a time, keeping numpy buffers small.
+_DRAW_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -76,14 +81,19 @@ def build_permutation(seed: int = DEFAULT_PERM_SEED) -> PearsonPermutation:
 
     The shuffle walks indices 65534 down to 1, swapping each with
     next_u64() % (i + 1), so the table is reproducible bit-for-bit from the
-    seed alone.
+    seed alone. The draws are computed in numpy, a chunk at a time: the
+    stream is counter-based, so draw k + 1 onward is the block for seed
+    + k*gamma.
     """
     seed = seed & MASK64
     table = list(range(PERMUTATION_SIZE))
-    rng = SplitMix64(seed)
-    for i in range(PERMUTATION_SIZE - 1, 0, -1):
-        j = rng.next_u64() % (i + 1)
-        table[i], table[j] = table[j], table[i]
+    for start in range(0, PERMUTATION_SIZE - 1, _DRAW_CHUNK):
+        top = PERMUTATION_SIZE - start  # i + 1 for the chunk's first draw
+        count = min(_DRAW_CHUNK, top - 1)
+        draws = splitmix64_block(seed + start * GAMMA, count)
+        bounds = np.arange(top, top - count, -1, dtype=np.uint64)
+        for i, j in zip(range(top - 1, top - 1 - count, -1), (draws % bounds).tolist()):
+            table[i], table[j] = table[j], table[i]
     return PearsonPermutation(table=tuple(table), seed=seed)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 
 MASK64 = (1 << 64) - 1
 
-_GAMMA = 0x9E3779B97F4A7C15
+GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
@@ -16,7 +16,7 @@ class SplitMix64:
         self.state = seed & MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & MASK64
+        self.state = (self.state + GAMMA) & MASK64
         z = self.state
         z = ((z ^ (z >> 30)) * _MIX1) & MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & MASK64
@@ -31,7 +31,7 @@ def splitmix64_block(seed: int, count: int) -> np.ndarray:
     next_u64() stream exactly.
     """
     ks = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(seed & MASK64) + ks * np.uint64(_GAMMA)
+    z = np.uint64(seed & MASK64) + ks * np.uint64(GAMMA)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))

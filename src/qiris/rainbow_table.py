@@ -3,11 +3,16 @@
 A table stores one chain per wordlist entry: only the starting plaintext and
 the final 3-character reduction survive. Chain ends are Pearson-hashed into
 16-bit values whose high 12 bits select a bucket and whose low 4 bits are the
-residues searched at crack time.
+residues searched at crack time. The index also keeps the end hashes sorted,
+so the rows ending in a given hash are found by binary search.
 """
 
 import re
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from .hashing import (
     BASE62_ALPHABET,
@@ -17,6 +22,7 @@ from .hashing import (
     pearson16,
     reduce,
 )
+from .prng import MASK64
 
 TABLE_VERSION = 1
 BUCKET_WIDTH = 16
@@ -25,7 +31,7 @@ _BASE62_SET = frozenset(BASE62_ALPHABET)
 _HEADER_RE = re.compile(r"^QIRIS v(\d+) seed=(\d+) chain=R1,R2,R3,R4$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Chain:
     """Stored endpoints of one hash chain."""
 
@@ -42,9 +48,20 @@ class RainbowTable:
 
 @dataclass
 class BucketIndex:
-    """Map from 12-bit bucket key to the 4-bit residues stored under it."""
+    """Bucket residues plus a sorted end-hash index over the table's rows.
+
+    `buckets` maps each 12-bit bucket key to the 4-bit residues stored under
+    it. `hashes` holds every row's end hash in ascending order and `rows` the
+    row id at the same position; rows sharing a hash stay in ascending order.
+    """
 
     buckets: dict
+    hashes: array
+    rows: array
+
+    def rows_for(self, h: int) -> list:
+        """All row ids whose end hash equals `h`, in ascending order; O(log N)."""
+        return self.rows[bisect_left(self.hashes, h):bisect_right(self.hashes, h)].tolist()
 
 
 def generate_table(wordlist, specs, perm: PearsonPermutation) -> RainbowTable:
@@ -88,17 +105,19 @@ def build_buckets(table: RainbowTable) -> BucketIndex:
     """Insert each end hash h as residue h % 16 under bucket key h // 16.
 
     Duplicate residues are kept in insertion order; deduplication is the
-    search layer's concern. Only non-empty buckets exist.
+    search layer's concern. Only non-empty buckets exist. The sorted index
+    costs 6 bytes per row.
     """
     buckets = {}
     for h in table.end_hashed:
         buckets.setdefault(h // BUCKET_WIDTH, []).append(h % BUCKET_WIDTH)
-    return BucketIndex(buckets=buckets)
-
-
-def end_hash_indices(table: RainbowTable, h: int) -> list:
-    """All row indices whose end hash equals `h`, in ascending order."""
-    return [i for i, v in enumerate(table.end_hashed) if v == h]
+    hashes = np.array(table.end_hashed, dtype=np.uint16)
+    order = np.argsort(hashes, kind="stable")
+    return BucketIndex(
+        buckets=buckets,
+        hashes=array("H", hashes[order].tobytes()),
+        rows=array("i", order.astype(np.intc).tobytes()),
+    )
 
 
 def save_table(table: RainbowTable, path) -> None:
@@ -137,6 +156,8 @@ def load_table(path) -> RainbowTable:
     if version != TABLE_VERSION:
         raise ValueError(f"unsupported table version v{version}")
     seed = int(header.group(2))
+    if seed > MASK64:
+        raise ValueError(f"line 1: permutation seed {seed} does not fit in 64 bits")
 
     body = lines[1:]
     if body and body[-1] == "":

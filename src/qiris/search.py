@@ -3,9 +3,10 @@
 For each chain suffix the query hash is reduced to a candidate end plaintext.
 The quantum path asks the bucket index whether the candidate's 4-bit residue
 is present (classically for tiny buckets, by simulated Grover search
-otherwise) before touching the table; the classical baseline scans every
-stored chain end instead. Any hit is verified by rebuilding the chain and
-comparing MD5 digests, so both paths only ever return true preimages.
+otherwise) and only then looks up the rows ending in the candidate's hash in
+the sorted end-hash index; the classical baseline scans every stored chain
+end instead. Any hit is verified by rebuilding the chain and comparing MD5
+digests, so both paths only ever return true preimages.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from .hashing import (
     reduce,
 )
 from .quantum_sim import grover_search
-from .rainbow_table import BUCKET_WIDTH, BucketIndex, RainbowTable, end_hash_indices
+from .rainbow_table import BUCKET_WIDTH, BucketIndex, RainbowTable
 
 
 @dataclass(frozen=True)
@@ -47,11 +48,6 @@ class SearchReport:
     grover_iterations_total: int
     classical_fallbacks: int
     bucket_misses: int
-
-
-def membership_classical(bucket, residue: int) -> bool:
-    """Plain membership test used for buckets below the search threshold."""
-    return residue in bucket
 
 
 def rebuild_chain(start: str, remaining_specs) -> tuple:
@@ -119,7 +115,7 @@ def crack(
         distinct = set(bucket)
         if not cfg.quantum_enabled or len(distinct) <= cfg.classical_threshold:
             report.classical_fallbacks += 1
-            present = membership_classical(bucket, residue)
+            present = residue in distinct
         else:
             outcome = grover_search(
                 distinct, residue, shots=cfg.shots, rng_seed=cfg.rng_seed
@@ -129,7 +125,7 @@ def crack(
             present = outcome.decision
         if not present:
             continue
-        for row in end_hash_indices(table, h):
+        for row in buckets.rows_for(h):
             if table.chains[row].end != text:
                 continue
             candidate, candidate_hash = rebuild_chain(

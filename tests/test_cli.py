@@ -145,6 +145,19 @@ def test_crack_invalid_table(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_crack_rejects_oversized_table_seed(tmp_path, capsys):
+    bad = tmp_path / "big-seed.txt"
+    bad.write_text(
+        "QIRIS v1 seed=18446744073709551660 chain=R1,R2,R3,R4\npassword\txk9\n",
+        encoding="ascii",
+    )
+    code = run_cli(["crack", "--table", str(bad), md5_hex("password")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 1" in err
+    assert "does not match" not in err
+
+
 def test_crack_missing_table(tmp_path):
     code = run_cli(["crack", "--table", str(tmp_path / "nope.txt"), md5_hex("a")])
     assert code == 2

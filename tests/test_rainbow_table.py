@@ -8,7 +8,6 @@ from qiris.rainbow_table import (
     Chain,
     RainbowTable,
     build_buckets,
-    end_hash_indices,
     generate_table,
     load_table,
     save_table,
@@ -90,10 +89,12 @@ def test_bucket_reconstruction_roundtrip(table100, buckets100):
 
 
 def test_end_hash_indices():
-    table = _table([7, 3, 7])
-    assert end_hash_indices(table, 7) == [0, 2]
-    assert end_hash_indices(table, 3) == [1]
-    assert end_hash_indices(table, 9999) == []
+    index = build_buckets(_table([7, 3, 7]))
+    assert index.rows_for(7) == [0, 2]
+    assert index.rows_for(3) == [1]
+    assert index.rows_for(9999) == []
+    assert list(index.hashes) == [3, 7, 7]
+    assert list(index.rows) == [1, 0, 2]
 
 
 def test_save_load_roundtrip(table100, tmp_path):
@@ -126,6 +127,13 @@ def test_load_honors_header_seed(perm44, specs, tmp_path):
     assert loaded == table
 
 
+def test_load_accepts_largest_seed(specs, tmp_path):
+    table = generate_table(["hello"], specs, build_permutation(2**64 - 1))
+    path = tmp_path / "max-seed.txt"
+    save_table(table, path)
+    assert load_table(path) == table
+
+
 @pytest.mark.parametrize(
     "content,fragment",
     [
@@ -133,6 +141,7 @@ def test_load_honors_header_seed(perm44, specs, tmp_path):
         ("not a header\nfoo\tabc\n", "malformed table header"),
         ("QIRIS v2 seed=44 chain=R1,R2,R3,R4\nfoo\tabc\n", "version"),
         ("QIRIS v1 seed=x chain=R1,R2,R3,R4\nfoo\tabc\n", "malformed table header"),
+        ("QIRIS v1 seed=18446744073709551616 chain=R1,R2,R3,R4\nfoo\tabc\n", "line 1"),
         ("QIRIS v1 seed=44 chain=R1,R2,R3,R4\nno-tab-here\n", "tab"),
         ("QIRIS v1 seed=44 chain=R1,R2,R3,R4\na\tb\tc\n", "tab"),
         ("QIRIS v1 seed=44 chain=R1,R2,R3,R4\nfoo\tab\n", "base62"),

@@ -1,22 +1,34 @@
+import dataclasses
+
 import pytest
 
 from qiris.hashing import build_permutation, md5_hex, reduce
+from qiris.rainbow_table import BUCKET_WIDTH, build_buckets, generate_table
 from qiris.search import (
     SearchConfig,
     crack,
     crack_classical,
     crack_classical_scan,
-    membership_classical,
     rebuild_chain,
 )
 
 NO_QUANTUM = SearchConfig(quantum_enabled=False)
 
 
-def test_membership_classical():
-    assert membership_classical([5, 9], 9) is True
-    assert membership_classical([5, 9], 7) is False
-    assert membership_classical([], 3) is False
+def test_membership_classical(perm44, specs):
+    # the classical membership test alone decides whether the row is looked up:
+    # with the stored residue swapped for its neighbour the chain is never read
+    table = generate_table(["password"], specs, perm44)
+    index = build_buckets(table)
+    key, residue = divmod(table.end_hashed[0], BUCKET_WIDTH)
+    other = dataclasses.replace(index, buckets={key: [residue ^ 1, residue ^ 2]})
+    query = md5_hex("password")
+    found = crack(query, table, index, perm44, specs, NO_QUANTUM)
+    missed = crack(query, table, other, perm44, specs, NO_QUANTUM)
+    assert found.result == "password"
+    assert missed.result is None
+    assert missed.classical_fallbacks >= 1
+    assert missed.grover_invocations == 0
 
 
 def test_rebuild_chain_empty_prefix():
