@@ -14,7 +14,15 @@ from .hashing import (
     canonical_reduction_specs,
     normalize_digest,
 )
-from .rainbow_table import build_buckets, generate_table, load_table, save_table
+from .prng import MASK64
+from .rainbow_table import (
+    _check_plaintext,
+    _load_table,
+    _read_lines,
+    build_buckets,
+    generate_table,
+    save_table,
+)
 from .search import SearchConfig, crack, crack_classical_scan
 
 EXIT_OK = 0
@@ -36,19 +44,11 @@ _REPORT_FIELDS = (
 
 
 def _read_wordlist(path):
-    # latin-1 never fails to decode, so invalid bytes are reported with a
-    # line number by the per-line ASCII check instead of a decode error
-    with open(path, "r", encoding="latin-1") as fh:
-        lines = fh.read().split("\n")
     words = []
-    for lineno, line in enumerate(lines, start=1):
-        if line == "":
-            continue
-        if not line.isascii() or any(ch.isspace() for ch in line):
-            raise ValueError(
-                f"wordlist line {lineno}: entries must be ASCII without whitespace"
-            )
-        words.append(line)
+    for lineno, line in enumerate(_read_lines(path, "wordlist line"), start=1):
+        if line:
+            _check_plaintext(line, f"wordlist line {lineno}")
+            words.append(line)
     if not words:
         raise ValueError("wordlist is empty")
     return words
@@ -69,8 +69,7 @@ def _read_hashes(path):
 
 
 def _load_search_context(table_path):
-    table = load_table(table_path)
-    perm = build_permutation(table.perm_seed)
+    table, perm = _load_table(table_path)
     return table, build_buckets(table), perm
 
 
@@ -84,6 +83,8 @@ def _search_config(args) -> SearchConfig:
 
 
 def cmd_generate(args) -> int:
+    if not 0 <= args.perm_seed <= MASK64:
+        raise ValueError(f"--perm-seed must be in 0..{MASK64}, got {args.perm_seed}")
     words = _read_wordlist(args.wordlist)
     perm = build_permutation(args.perm_seed)
     table = generate_table(words, canonical_reduction_specs(), perm)
@@ -95,10 +96,9 @@ def cmd_generate(args) -> int:
 
 def cmd_crack(args) -> int:
     digest = normalize_digest(args.hash)
+    cfg = _search_config(args)
     table, buckets, perm = _load_search_context(args.table)
-    report = crack(
-        digest, table, buckets, perm, canonical_reduction_specs(), _search_config(args)
-    )
+    report = crack(digest, table, buckets, perm, canonical_reduction_specs(), cfg)
     if report.result is not None:
         print(report.result)
     if args.report:
@@ -112,9 +112,9 @@ def cmd_crack(args) -> int:
 
 def cmd_compare(args) -> int:
     digests = _read_hashes(args.hashes)
+    cfg = _search_config(args)
     table, buckets, perm = _load_search_context(args.table)
     specs = canonical_reduction_specs()
-    cfg = _search_config(args)
     print(COMPARE_CSV_HEADER)
     all_agree = True
     for digest in digests:

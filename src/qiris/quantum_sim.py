@@ -4,18 +4,29 @@ States are plain complex vectors of power-of-two length. The search is run
 as direct vector reflections: a phase oracle negates the target amplitude
 and the diffusion step reflects about the prepared superposition, which is
 equivalent to the circuit formulation up to a global phase. Measurement is
-a deterministic inverse-CDF sampler over the SplitMix64 stream.
+a deterministic inverse-CDF sampler over the SplitMix64 stream: the shot
+stream for a seed is sorted once, in chunks, and each basis state's count is
+the number of sorted samples inside its CDF interval. That gives the same
+counts as placing every shot, in O(dimension * log shots) per call, and
+memory stays bounded for any shot count.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .prng import unit_floats
+from .prng import GAMMA, MASK64, unit_floats
 
 DEFAULT_DIMENSION = 16
 DEFAULT_SHOTS = 1024
+
+# The shot stream is drawn and sorted in chunks of at most this many samples
+# (512 KiB each); at most _SORTED_CHUNKS of them are kept, so measure retains
+# at most 2 MiB whatever the shot count.
+_SHOT_CHUNK = 1 << 16
+_SORTED_CHUNKS = 4
 
 
 @dataclass(frozen=True)
@@ -84,6 +95,19 @@ def basis_bitstring(index: int, dimension: int = DEFAULT_DIMENSION) -> str:
     return format(index, f"0{qubits}b")[::-1]
 
 
+@functools.lru_cache(maxsize=_SORTED_CHUNKS)
+def _sorted_shots(seed: int, start: int, count: int) -> np.ndarray:
+    """Samples start..start+count-1 of the shot stream for `seed`, sorted and read-only.
+
+    The stream is counter-based, so those samples are the first `count` of
+    the stream for seed + start*gamma.
+    """
+    u = unit_floats(seed + start * GAMMA, count)
+    u.sort()
+    u.flags.writeable = False
+    return u
+
+
 def measure(state: np.ndarray, shots: int, rng_seed: int) -> dict:
     """Draw `shots` samples from P(i) = |amplitude_i|^2.
 
@@ -91,20 +115,34 @@ def measure(state: np.ndarray, shots: int, rng_seed: int) -> dict:
     the first index whose cumulative probability strictly exceeds u, so
     zero-probability indices can never be hit. Returns a map holding only
     the indices that received at least one shot; values sum to `shots`.
+
+    The samples are not placed one by one: the stream is sorted once per
+    chunk of at most 2^16 samples and kept, and index i receives the samples
+    with cdf[i-1] <= u < cdf[i], found by binary search of each CDF value.
+    The counts equal those of per-shot sampling, and memory stays bounded
+    for any `shots`.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
     probs = np.abs(state) ** 2
-    cdf = np.cumsum(probs)
-    u = unit_floats(rng_seed, shots)
-    idx = np.searchsorted(cdf, u, side="right")
-    overflow = idx >= probs.shape[0]
-    if overflow.any():
+    cdf = probs.cumsum()
+    seed = rng_seed & MASK64
+    below = 0
+    for start in range(0, shots, _SHOT_CHUNK):
+        chunk = _sorted_shots(seed, start, min(_SHOT_CHUNK, shots - start))
+        below = below + chunk.searchsorted(cdf, side="left")
+    counts = {}
+    previous = 0
+    for i, b in enumerate(below.tolist()):
+        if b > previous:
+            counts[i] = b - previous
+        previous = b
+    if previous < shots:
         # cdf[-1] can land a hair under 1.0; fold the sliver into the last
         # index that carries probability mass
-        idx[overflow] = int(np.flatnonzero(probs > 0.0)[-1])
-    binned = np.bincount(idx, minlength=probs.shape[0])
-    return {int(i): int(c) for i, c in enumerate(binned) if c}
+        last = int(np.flatnonzero(probs > 0.0)[-1])
+        counts[last] = counts.get(last, 0) + shots - previous
+    return counts
 
 
 def grover_search(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hashing import (
-    BASE62_ALPHABET,
     PearsonPermutation,
     build_permutation,
     md5_hex,
@@ -27,7 +26,6 @@ from .prng import MASK64
 TABLE_VERSION = 1
 BUCKET_WIDTH = 16
 
-_BASE62_SET = frozenset(BASE62_ALPHABET)
 _HEADER_RE = re.compile(r"^QIRIS v(\d+) seed=(\d+) chain=R1,R2,R3,R4$")
 
 
@@ -76,20 +74,49 @@ def generate_table(wordlist, specs, perm: PearsonPermutation) -> RainbowTable:
     chains = []
     end_hashed = []
     for pos, word in enumerate(words, start=1):
-        _check_word(word, pos)
+        _check_plaintext(word, f"wordlist entry {pos}")
         end = _chain_end(word, specs)
         chains.append(Chain(start=word, end=end))
         end_hashed.append(pearson16(end, perm))
     return RainbowTable(chains=chains, end_hashed=end_hashed, perm_seed=perm.seed)
 
 
-def _check_word(word, pos):
-    if not word:
-        raise ValueError(f"wordlist entry {pos} is empty")
-    if not word.isascii():
-        raise ValueError(f"wordlist entry {pos} is not ASCII")
-    if any(ch.isspace() for ch in word):
-        raise ValueError(f"wordlist entry {pos} contains whitespace")
+def _check_plaintext(text: str, where: str) -> None:
+    """Reject a chain start plaintext unless it is non-empty ASCII without whitespace.
+
+    The one rule for every plaintext that enters a table, whether from a
+    wordlist or a table file; `where` locates it in the error message.
+    """
+    if text.isascii() and text.split() == [text]:
+        return
+    if not text:
+        raise ValueError(f"{where}: empty start plaintext")
+    if not text.isascii():
+        raise ValueError(f"{where}: start plaintext is not ASCII")
+    raise ValueError(f"{where}: start plaintext contains whitespace")
+
+
+def _is_chain_end(text: str) -> bool:
+    """True for the 3 base62 characters that end a canonical chain."""
+    # on ASCII text, isalnum() accepts exactly the base62 alphabet
+    return len(text) == 3 and text.isascii() and text.isalnum()
+
+
+def _read_lines(path, label: str) -> list:
+    """The lines of a text file split on LF; bytes are never a decode error.
+
+    latin-1 maps every byte to one character, so a non-ASCII byte reaches
+    the per-line checks and is reported with its line number. A file with
+    CRLF line endings is rejected naming its first such line, prefixed by
+    `label` (e.g. "line" or "wordlist line").
+    """
+    with open(path, "r", encoding="latin-1", newline="") as fh:
+        text = fh.read()
+    crlf = text.find("\r\n")
+    if crlf >= 0:
+        lineno = text.count("\n", 0, crlf) + 1
+        raise ValueError(f"{label} {lineno}: file has CRLF line endings; use LF")
+    return text.split("\n")
 
 
 def _chain_end(word, specs):
@@ -127,7 +154,7 @@ def save_table(table: RainbowTable, path) -> None:
     chain, so ends that are not 3 base62 characters are rejected up front.
     """
     for chain in table.chains:
-        if len(chain.end) != 3 or any(ch not in _BASE62_SET for ch in chain.end):
+        if not _is_chain_end(chain.end):
             raise ValueError(
                 f"chain end {chain.end!r} is not 3 base62 characters; "
                 "only canonical-chain tables can be saved"
@@ -143,18 +170,23 @@ def load_table(path) -> RainbowTable:
 
     The permutation seed comes from the header and the end hashes are
     recomputed from it, so a loaded table is self-consistent by construction.
-    Malformed headers, unsupported versions, and malformed rows are rejected.
+    Malformed headers, unsupported versions, and malformed rows are rejected
+    with the number of the offending line.
     """
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        lines = fh.read().split("\n")
-    if not lines or not lines[0]:
-        raise ValueError("missing table header")
+    return _load_table(path)[0]
+
+
+def _load_table(path) -> tuple:
+    """load_table plus the permutation it built, so callers need not build it again."""
+    lines = _read_lines(path, "line")
+    if not lines[0]:
+        raise ValueError("line 1: missing table header")
     header = _HEADER_RE.match(lines[0])
     if header is None:
-        raise ValueError(f"malformed table header: {lines[0]!r}")
+        raise ValueError(f"line 1: malformed table header: {lines[0]!r}")
     version = int(header.group(1))
     if version != TABLE_VERSION:
-        raise ValueError(f"unsupported table version v{version}")
+        raise ValueError(f"line 1: unsupported table version v{version}")
     seed = int(header.group(2))
     if seed > MASK64:
         raise ValueError(f"line 1: permutation seed {seed} does not fit in 64 bits")
@@ -168,9 +200,8 @@ def load_table(path) -> RainbowTable:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected exactly one tab separator")
         start, end = parts
-        if not start:
-            raise ValueError(f"line {lineno}: empty start plaintext")
-        if len(end) != 3 or any(ch not in _BASE62_SET for ch in end):
+        _check_plaintext(start, f"line {lineno}")
+        if not _is_chain_end(end):
             raise ValueError(f"line {lineno}: end must be 3 base62 characters")
         chains.append(Chain(start=start, end=end))
     if not chains:
@@ -178,4 +209,4 @@ def load_table(path) -> RainbowTable:
 
     perm = build_permutation(seed)
     end_hashed = [pearson16(chain.end, perm) for chain in chains]
-    return RainbowTable(chains=chains, end_hashed=end_hashed, perm_seed=seed)
+    return RainbowTable(chains=chains, end_hashed=end_hashed, perm_seed=seed), perm

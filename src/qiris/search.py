@@ -18,6 +18,7 @@ from .hashing import (
     pearson16,
     reduce,
 )
+from .prng import MASK64
 from .quantum_sim import grover_search
 from .rainbow_table import BUCKET_WIDTH, BucketIndex, RainbowTable
 
@@ -36,6 +37,10 @@ class SearchConfig:
             raise ValueError("shots must be at least 1")
         if not 0 <= self.classical_threshold <= 16:
             raise ValueError("classical_threshold must be in 0..16")
+        if not 0 <= self.rng_seed <= MASK64:
+            raise ValueError(
+                f"rng_seed (--rng-seed) must be in 0..{MASK64}, got {self.rng_seed}"
+            )
 
 
 @dataclass

@@ -1,7 +1,11 @@
+import sys
+
 import pytest
 
 from qiris.cli import COMPARE_CSV_HEADER, main
-from qiris.hashing import md5_hex
+from qiris.hashing import build_permutation, md5_hex
+
+HEADER = b"QIRIS v1 seed=44 chain=R1,R2,R3,R4"
 
 
 def run_cli(argv):
@@ -86,6 +90,91 @@ def test_generate_names_offending_line(tmp_path, capsys):
     code = run_cli(["generate", "--wordlist", str(bad), "--out", str(tmp_path / "t.txt")])
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content,fragment",
+    [
+        (b"fine\r\nalso\r\n", "wordlist line 1: file has CRLF line endings"),
+        (b"fine\ncaf\xe9\n", "wordlist line 2: start plaintext is not ASCII"),
+    ],
+)
+def test_generate_rejects_bad_wordlist_bytes(tmp_path, capsys, content, fragment):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    code = run_cli(["generate", "--wordlist", str(bad), "--out", str(tmp_path / "t.txt")])
+    assert code == 2
+    assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_generate_rejects_out_of_range_perm_seed(workspace, tmp_path, capsys, seed):
+    out = tmp_path / "t.txt"
+    code = run_cli(
+        ["generate", "--wordlist", str(workspace["wordlist"]), "--out", str(out),
+         "--perm-seed", seed]
+    )
+    assert code == 2
+    assert "--perm-seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["crack", "compare"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_rejects_out_of_range_rng_seed(workspace, tmp_path, capsys, command, seed):
+    hashes = tmp_path / "hashes.txt"
+    hashes.write_text(md5_hex("qwerty") + "\n", encoding="ascii")
+    query = [md5_hex("qwerty")] if command == "crack" else ["--hashes", str(hashes)]
+    code = run_cli([command, "--table", str(workspace["table"]), "--rng-seed", seed, *query])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--rng-seed" in captured.err
+    assert captured.out == ""
+
+
+def test_generate_accepts_largest_perm_seed(workspace, tmp_path):
+    out = tmp_path / "t.txt"
+    code = run_cli(
+        ["generate", "--wordlist", str(workspace["wordlist"]), "--out", str(out),
+         "--perm-seed", str(2**64 - 1)]
+    )
+    assert code == 0
+    assert out.read_text(encoding="ascii").startswith(f"QIRIS v1 seed={2**64 - 1} ")
+
+
+@pytest.mark.parametrize("command", ["crack", "compare"])
+def test_table_open_builds_one_permutation(workspace, tmp_path, monkeypatch, command):
+    hashes = tmp_path / "hashes.txt"
+    hashes.write_text(md5_hex("qwerty") + "\n", encoding="ascii")
+    seeds = []
+
+    def counting(seed):
+        seeds.append(seed)
+        return build_permutation(seed)
+
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "build_permutation", None)
+        if name.split(".")[0] == "qiris" and bound is build_permutation:
+            monkeypatch.setattr(module, "build_permutation", counting)
+    query = [md5_hex("qwerty")] if command == "crack" else ["--hashes", str(hashes)]
+    assert run_cli([command, "--table", str(workspace["table"]), *query]) == 0
+    assert seeds == [44]
+
+
+@pytest.mark.parametrize(
+    "body,fragment",
+    [
+        (b"\npassword\txk9\nhas space\tabc\n", "line 3: start plaintext contains whitespace"),
+        (b"\npassword\txk9\ncaf\xe9\tabc\n", "line 3: start plaintext is not ASCII"),
+        (b"\r\npassword\txk9\r\n", "line 1: file has CRLF line endings"),
+    ],
+)
+def test_crack_names_the_bad_table_line(tmp_path, capsys, body, fragment):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(HEADER + body)
+    code = run_cli(["crack", "--table", str(bad), md5_hex("password")])
+    assert code == 2
+    assert fragment in capsys.readouterr().err
 
 
 def test_crack_recovers_word(workspace, capsys):

@@ -1,10 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from qiris.prng import _MIX1, _MIX2, GAMMA, MASK64, unit_floats
 from qiris.quantum_sim import (
+    _SHOT_CHUNK,
     GroverOutcome,
+    _sorted_shots,
     apply_oracle,
     basis_bitstring,
     grover_iterations,
@@ -166,6 +172,95 @@ def test_measure_global_phase_invariance():
 def test_measure_rejects_zero_shots():
     with pytest.raises(ValueError):
         measure(prepare_state({5}, 16), 0, rng_seed=1)
+
+
+def per_shot_measure(state, shots, rng_seed):
+    """Reference sampler: place every shot by its own inverse-CDF lookup."""
+    probs = np.abs(state) ** 2
+    cdf = np.cumsum(probs)
+    u = unit_floats(rng_seed, shots)
+    idx = np.searchsorted(cdf, u, side="right")
+    overflow = idx >= probs.shape[0]
+    if overflow.any():
+        idx[overflow] = int(np.flatnonzero(probs > 0.0)[-1])
+    binned = np.bincount(idx, minlength=probs.shape[0])
+    return {int(i): int(c) for i, c in enumerate(binned) if c}
+
+
+SEEDS = st.one_of(
+    st.sampled_from([0, 7, 2**63, 2**64 - 1]),
+    st.integers(0, 2**64 - 1),
+    st.integers(2**63, 2**64 - 1),
+)
+SHOTS = st.one_of(
+    st.sampled_from([1, 1024, _SHOT_CHUNK, _SHOT_CHUNK + 1, 3 * _SHOT_CHUNK + 1]),
+    st.integers(1, 3000),
+)
+AMPLITUDES = st.lists(
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    min_size=16,
+    max_size=16,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(AMPLITUDES, st.sampled_from([1.0, 1.0 - 1e-12, 0.999, 0.9, 0.5]), SEEDS, SHOTS)
+def test_measure_matches_per_shot_sampler(amplitudes, norm, seed, shots):
+    state = np.array(amplitudes, dtype=np.complex128)
+    length = np.linalg.norm(state)
+    assume(length > 1e-6)
+    # norm < 1 leaves cdf[-1] < 1, so samples overflow into the last index
+    state = state / length * norm
+    assert measure(state, shots, rng_seed=seed) == per_shot_measure(state, shots, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(0, 15), min_size=1), st.integers(0, 15), SEEDS, SHOTS)
+def test_grover_search_counts_match_per_shot_sampler(marked, target, seed, shots):
+    outcome = grover_search(marked, target, shots=shots, rng_seed=seed)
+    _, psi = run_iterations(marked, target)
+    assert outcome.counts == per_shot_measure(psi, shots, seed)
+    assert outcome.decision == (outcome.counts.get(target, 0) > shots // 2)
+
+
+def _seed_whose_first_sample_is(u):
+    """Invert the SplitMix64 output mix so the stream for the seed starts with `u`."""
+
+    def unshift(z, s):
+        x = z
+        for _ in range(64 // s + 1):
+            x = z ^ (x >> s)
+        return x
+
+    z = int(u * 2**53) << 11
+    z = unshift(z, 31)
+    z = unshift(z * pow(_MIX2, -1, 2**64) & MASK64, 27)
+    z = unshift(z * pow(_MIX1, -1, 2**64) & MASK64, 30)
+    return (z - GAMMA) & MASK64
+
+
+def test_measure_sample_on_a_cdf_boundary_goes_to_the_next_index():
+    # P(0) = 0.25 exactly, and the first sample is exactly 0.25: it lies at
+    # cdf[0], so it belongs to index 1 (cdf[0] <= u < cdf[1])
+    seed = _seed_whose_first_sample_is(0.25)
+    assert unit_floats(seed, 1)[0] == 0.25
+    state = np.zeros(16, dtype=np.complex128)
+    state[0], state[1] = 0.5, math.sqrt(0.75)
+    assert measure(state, 1, rng_seed=seed) == per_shot_measure(state, 1, seed) == {1: 1}
+
+
+def test_measure_memory_is_bounded():
+    shots = 16 * _SHOT_CHUNK
+    state = prepare_state(SEVEN_SET, 16)
+    _sorted_shots.cache_clear()
+    tracemalloc.start()
+    try:
+        counts = measure(state, shots, rng_seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == shots
+    assert peak < 8 * 2**20
 
 
 def test_closed_form_agreement_all_m():

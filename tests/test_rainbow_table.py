@@ -149,6 +149,9 @@ def test_load_accepts_largest_seed(specs, tmp_path):
         ("QIRIS v1 seed=44 chain=R1,R2,R3,R4\nfoo\tabcd\n", "base62"),
         ("QIRIS v1 seed=44 chain=R1,R2,R3,R4\n\tabc\n", "empty start"),
         ("QIRIS v1 seed=44 chain=R1,R2,R3,R4\n", "no chains"),
+        ("QIRIS v1 seed=44 chain=R1,R2,R3,R4\nhas space\tabc\n", "line 2: .* whitespace"),
+        ("QIRIS v1 seed=44 chain=R1,R2,R3,R4\r\nfoo\tabc\r\n", "line 1: .* CRLF"),
+        ("QIRIS v1 seed=44 chain=R1,R2,R3,R4\nfoo\tabc\nbar\tabc\r\n", "line 3: .* CRLF"),
     ],
 )
 def test_load_rejects_malformed_files(content, fragment, tmp_path):
@@ -161,7 +164,10 @@ def test_load_rejects_malformed_files(content, fragment, tmp_path):
 def test_load_rejects_non_ascii(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"QIRIS v1 seed=44 chain=R1,R2,R3,R4\nf\xc3\xb8o\tabc\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="line 2: start plaintext is not ASCII"):
+        load_table(path)
+    path.write_bytes(b"QIRIS v1 seed=44 chain=R1,R2,R3,R4\nfoo\tabc\nbar\tab\xe9\n")
+    with pytest.raises(ValueError, match="line 3: end must be 3 base62"):
         load_table(path)
 
 

@@ -160,8 +160,19 @@ def test_classical_scan_counts_comparisons(table100, specs):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"shots": 0}, {"classical_threshold": -1}, {"classical_threshold": 17}],
+    [
+        {"shots": 0},
+        {"classical_threshold": -1},
+        {"classical_threshold": 17},
+        {"rng_seed": -1},
+        {"rng_seed": 2**64},
+    ],
 )
 def test_search_config_validation(kwargs):
     with pytest.raises(ValueError):
         SearchConfig(**kwargs)
+
+
+def test_search_config_accepts_full_seed_range():
+    assert SearchConfig(rng_seed=0).rng_seed == 0
+    assert SearchConfig(rng_seed=2**64 - 1).rng_seed == 2**64 - 1
