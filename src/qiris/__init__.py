@@ -16,6 +16,7 @@ from .hashing import (
     normalize_digest,
     pearson16,
     reduce,
+    walk_chain,
 )
 from .prng import SplitMix64
 from .quantum_sim import (
@@ -81,4 +82,5 @@ __all__ = [
     "reduce",
     "reflect_about",
     "save_table",
+    "walk_chain",
 ]

@@ -55,10 +55,8 @@ def _read_wordlist(path):
 
 
 def _read_hashes(path):
-    with open(path, "r", encoding="latin-1") as fh:
-        lines = fh.read().split("\n")
     digests = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read_lines(path, "hashes line"), start=1):
         if line == "":
             continue
         try:

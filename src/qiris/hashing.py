@@ -1,12 +1,13 @@
 """Hash and reduction primitives.
 
-MD5 digests, the seeded 16-bit Pearson hash used to bucket chain ends, and
-the base62 reduction functions R1..R4 that map digests back into the
-plaintext space.
+MD5 digests, the seeded 16-bit Pearson hash used to bucket chain ends, the
+base62 reduction functions R1..R4 that map digests back into the plaintext
+space, and the chain walk that alternates the two.
 """
 
 import hashlib
 import re
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,15 @@ PERMUTATION_SIZE = 65535
 
 DEFAULT_PERM_SEED = 44
 
-_HEX_DIGEST_RE = re.compile(r"^[0-9a-fA-F]{32}$")
+_HEX_DIGEST_RE = re.compile(r"[0-9a-fA-F]{32}")
+
+# Two base62 digits at a time: entry d0 + 62*d1 is the string of digit d0
+# then digit d1, least significant first as `reduce` emits them.
+_BASE62_PAIRS = tuple(lo + hi for hi in BASE62_ALPHABET for lo in BASE62_ALPHABET)
+
+# A reduction reads the first 4 digest bytes as a big-endian integer, the
+# same number as the first 8 hex characters.
+_prefix = struct.Struct(">I").unpack_from
 
 # Shuffle draws are made this many at a time, keeping numpy buffers small.
 _DRAW_CHUNK = 4096
@@ -71,7 +80,7 @@ def md5_hex(data) -> str:
 
 def normalize_digest(hex_digest: str) -> str:
     """Validate a 32-character hex digest and return it lowercased."""
-    if not isinstance(hex_digest, str) or _HEX_DIGEST_RE.match(hex_digest) is None:
+    if not isinstance(hex_digest, str) or _HEX_DIGEST_RE.fullmatch(hex_digest) is None:
         raise ValueError(f"not a 32-character hex digest: {hex_digest!r}")
     return hex_digest.lower()
 
@@ -117,9 +126,32 @@ def reduce(hex_digest: str, spec: ReductionSpec) -> str:
     and successive base62 digits are peeled off least-significant first.
     """
     digest = normalize_digest(hex_digest)
-    v = int(digest[:8], 16) + spec.nonce
-    chars = []
-    for _ in range(spec.length):
-        chars.append(BASE62_ALPHABET[v % 62])
-        v //= 62
-    return "".join(chars)
+    return _base62(int(digest[:8], 16) + spec.nonce, spec.length)
+
+
+def walk_chain(digest: bytes, specs) -> str:
+    """Reduce a raw MD5 `digest` through the non-empty sequence `specs`.
+
+    MD5 is applied between reductions but not after the last one, whose
+    plaintext is returned. Each step equals `reduce(digest.hex(), spec)`;
+    the digest stays raw bytes, so no hex is formatted or checked.
+    """
+    if not specs:
+        raise ValueError("a chain walk needs at least one reduction")
+    for spec in specs[:-1]:
+        text = _base62(_prefix(digest)[0] + spec.nonce, spec.length)
+        digest = hashlib.md5(text.encode()).digest()
+    spec = specs[-1]
+    return _base62(_prefix(digest)[0] + spec.nonce, spec.length)
+
+
+def _base62(v: int, length: int) -> str:
+    """The `length` least significant base62 digits of `v`, least significant first."""
+    text = ""
+    while length > 1:
+        text += _BASE62_PAIRS[v % 3844]
+        v //= 3844
+        length -= 2
+    if length:
+        text += BASE62_ALPHABET[v % 62]
+    return text

@@ -7,6 +7,7 @@ residues searched at crack time. The index also keeps the end hashes sorted,
 so the rows ending in a given hash are found by binary search.
 """
 
+import hashlib
 import re
 from array import array
 from bisect import bisect_left, bisect_right
@@ -14,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hashing import (
-    PearsonPermutation,
-    build_permutation,
-    md5_hex,
-    pearson16,
-    reduce,
-)
+from .hashing import PearsonPermutation, build_permutation, pearson16, walk_chain
 from .prng import MASK64
 
 TABLE_VERSION = 1
@@ -66,7 +61,8 @@ def generate_table(wordlist, specs, perm: PearsonPermutation) -> RainbowTable:
     """Build one chain per word by alternating MD5 and the reduction functions.
 
     Words must be non-empty ASCII without whitespace; duplicates are allowed
-    and produce duplicate chains. Input order is preserved.
+    and produce duplicate chains. Input order is preserved. With no specs a
+    chain ends at its start word.
     """
     words = list(wordlist)
     if not words:
@@ -75,7 +71,7 @@ def generate_table(wordlist, specs, perm: PearsonPermutation) -> RainbowTable:
     end_hashed = []
     for pos, word in enumerate(words, start=1):
         _check_plaintext(word, f"wordlist entry {pos}")
-        end = _chain_end(word, specs)
+        end = walk_chain(hashlib.md5(word.encode()).digest(), specs) if specs else word
         chains.append(Chain(start=word, end=end))
         end_hashed.append(pearson16(end, perm))
     return RainbowTable(chains=chains, end_hashed=end_hashed, perm_seed=perm.seed)
@@ -117,15 +113,6 @@ def _read_lines(path, label: str) -> list:
         lineno = text.count("\n", 0, crlf) + 1
         raise ValueError(f"{label} {lineno}: file has CRLF line endings; use LF")
     return text.split("\n")
-
-
-def _chain_end(word, specs):
-    text = word
-    digest = md5_hex(text)
-    for spec in specs:
-        text = reduce(digest, spec)
-        digest = md5_hex(text)
-    return text
 
 
 def build_buckets(table: RainbowTable) -> BucketIndex:

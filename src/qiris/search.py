@@ -9,6 +9,7 @@ end instead. Any hit is verified by rebuilding the chain and comparing MD5
 digests, so both paths only ever return true preimages.
 """
 
+import hashlib
 from dataclasses import dataclass
 
 from .hashing import (
@@ -16,7 +17,8 @@ from .hashing import (
     md5_hex,
     normalize_digest,
     pearson16,
-    reduce,
+    reduce,  # noqa: F401  (kept bound: perfbench's tracer test reads qiris.search.reduce)
+    walk_chain,
 )
 from .prng import MASK64
 from .quantum_sim import grover_search
@@ -58,23 +60,9 @@ class SearchReport:
 def rebuild_chain(start: str, remaining_specs) -> tuple:
     """Walk a chain from `start` through `remaining_specs`; returns (text, md5(text))."""
     text = start
-    digest = md5_hex(text)
-    for spec in remaining_specs:
-        text = reduce(digest, spec)
-        digest = md5_hex(text)
-    return text, digest
-
-
-def _reduce_suffix(query: str, suffix) -> str:
-    """Apply a suffix of the reduction chain to the query hash, interleaving MD5."""
-    digest = query
-    text = ""
-    last = len(suffix) - 1
-    for j, spec in enumerate(suffix):
-        text = reduce(digest, spec)
-        if j != last:
-            digest = md5_hex(text)
-    return text
+    if remaining_specs:
+        text = walk_chain(hashlib.md5(start.encode()).digest(), remaining_specs)
+    return text, md5_hex(text)
 
 
 def crack(
@@ -95,6 +83,7 @@ def crack(
     exactly one of bucket_misses, classical_fallbacks, grover_invocations.
     """
     query = normalize_digest(hash_hex)
+    raw = bytes.fromhex(query)
     if perm.seed != table.perm_seed:
         raise ValueError(
             f"permutation seed {perm.seed} does not match table seed {table.perm_seed}"
@@ -110,7 +99,7 @@ def crack(
     n = len(specs)
     for i in range(1, n + 1):
         report.chains_examined = i
-        text = _reduce_suffix(query, specs[n - i:])
+        text = walk_chain(raw, specs[n - i:])
         h = pearson16(text, perm)
         key, residue = divmod(h, BUCKET_WIDTH)
         bucket = buckets.buckets.get(key)
@@ -151,10 +140,11 @@ def crack_classical(hash_hex: str, table: RainbowTable, specs) -> str | None:
 def crack_classical_scan(hash_hex: str, table: RainbowTable, specs) -> tuple:
     """Classical crack plus the number of end-plaintext comparisons it made."""
     query = normalize_digest(hash_hex)
+    raw = bytes.fromhex(query)
     n = len(specs)
     scanned = 0
     for i in range(1, n + 1):
-        text = _reduce_suffix(query, specs[n - i:])
+        text = walk_chain(raw, specs[n - i:])
         for chain in table.chains:
             scanned += 1
             if chain.end != text:

@@ -226,6 +226,14 @@ def test_crack_malformed_hash(workspace, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_crack_rejects_digest_with_trailing_newline(workspace, capsys):
+    code = run_cli(["crack", "--table", str(workspace["table"]), md5_hex("qwerty") + "\n"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "not a 32-character hex digest" in captured.err
+
+
 def test_crack_invalid_table(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a table\n", encoding="ascii")
@@ -303,6 +311,27 @@ def test_compare_malformed_hashes_file(workspace, tmp_path, capsys):
     assert code == 2
     assert captured.out == ""  # validation happens before any CSV is emitted
     assert "line 2" in captured.err
+
+
+@pytest.mark.parametrize(
+    "body,fragment",
+    [
+        (b"%s\r\n%s\r\n", "hashes line 1: file has CRLF line endings"),
+        # a lone CR is part of its line, so the bad digest keeps its line number
+        (b"%s\n%s\rjunk\n", "hashes line 2: not a 32-character hex digest"),
+    ],
+)
+def test_compare_names_the_bad_hashes_line(workspace, tmp_path, capsys, body, fragment):
+    hashes = tmp_path / "bad.txt"
+    digest = md5_hex("abc").encode()
+    hashes.write_bytes(body % (digest, digest))
+    code = run_cli(
+        ["compare", "--table", str(workspace["table"]), "--hashes", str(hashes)]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert fragment in captured.err
 
 
 def test_usage_errors_exit_2():

@@ -12,6 +12,7 @@ from qiris.hashing import (
     normalize_digest,
     pearson16,
     reduce,
+    walk_chain,
 )
 
 R1 = ReductionSpec(nonce=2, length=6, index=1)
@@ -47,7 +48,7 @@ def test_normalize_digest_lowercases():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "zzzz", "0" * 31, "0" * 33, "g" * 32, "0x" + "0" * 30, None, 42],
+    ["", "zzzz", "0" * 31, "0" * 33, "g" * 32, "0x" + "0" * 30, "0" * 32 + "\n", None, 42],
 )
 def test_normalize_digest_rejects(bad):
     with pytest.raises(ValueError):
@@ -124,6 +125,15 @@ def test_reduce_output_shape_property():
 def test_reduce_rejects_malformed_digest():
     with pytest.raises(ValueError):
         reduce("nothex", R1)
+
+
+def test_walk_chain_password_frozen(specs):
+    assert walk_chain(bytes.fromhex(md5_hex("password")), specs) == "xk9"
+
+
+def test_walk_chain_rejects_empty_specs():
+    with pytest.raises(ValueError):
+        walk_chain(bytes(16), [])
 
 
 def test_canonical_specs():

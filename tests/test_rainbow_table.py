@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -101,6 +102,17 @@ def test_save_load_roundtrip(table100, tmp_path):
     path = tmp_path / "table.txt"
     save_table(table100, path)
     assert load_table(path) == table100
+
+
+# sha256 of the 100-word fixture table saved with seed 44, taken from the
+# hex-digest chain walk before the raw-digest walker replaced it
+TABLE100_SHA256 = "099d98aa622860d5cb4930255791cd855216780466a1c29c658cf43f0d891f83"
+
+
+def test_saved_table100_digest_pinned(table100, tmp_path):
+    path = tmp_path / "table.txt"
+    save_table(table100, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TABLE100_SHA256
 
 
 def test_saved_format_is_exact(perm44, specs, tmp_path):
