@@ -22,7 +22,6 @@ from .prng import SplitMix64
 from .quantum_sim import (
     GroverOutcome,
     apply_oracle,
-    basis_bitstring,
     grover_iterations,
     grover_search,
     measure,
@@ -62,7 +61,6 @@ __all__ = [
     "SearchReport",
     "SplitMix64",
     "apply_oracle",
-    "basis_bitstring",
     "build_buckets",
     "build_permutation",
     "canonical_reduction_specs",

@@ -17,10 +17,10 @@ from .hashing import (
 from .prng import MASK64
 from .rainbow_table import (
     _check_plaintext,
-    _load_table,
     _read_lines,
     build_buckets,
     generate_table,
+    load_table,
     save_table,
 )
 from .search import SearchConfig, crack, crack_classical_scan
@@ -67,8 +67,9 @@ def _read_hashes(path):
 
 
 def _load_search_context(table_path):
-    table, perm = _load_table(table_path)
-    return table, build_buckets(table), perm
+    table = load_table(table_path)
+    index = build_buckets(table)
+    return table, index, index.perm
 
 
 def _search_config(args) -> SearchConfig:

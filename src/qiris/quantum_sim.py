@@ -81,20 +81,6 @@ def grover_iterations(m: int) -> int:
     return math.floor(math.pi / 4.0 * math.sqrt(m))
 
 
-def basis_bitstring(index: int, dimension: int = DEFAULT_DIMENSION) -> str:
-    """Render a basis-state index as a bitstring, qubit 0 (LSB) first.
-
-    Diagnostic convention for dumping counts; the simulation itself is
-    index-based and endianness-free.
-    """
-    qubits = dimension.bit_length() - 1
-    if dimension < 2 or dimension & (dimension - 1):
-        raise ValueError(f"dimension must be a power of two, got {dimension}")
-    if not 0 <= index < dimension:
-        raise ValueError(f"index {index} out of range for dimension {dimension}")
-    return format(index, f"0{qubits}b")[::-1]
-
-
 @functools.lru_cache(maxsize=_SORTED_CHUNKS)
 def _sorted_shots(seed: int, start: int, count: int) -> np.ndarray:
     """Samples start..start+count-1 of the shot stream for `seed`, sorted and read-only.
@@ -114,7 +100,8 @@ def measure(state: np.ndarray, shots: int, rng_seed: int) -> dict:
     Each sample u in [0, 1) from the SplitMix64 stream for `rng_seed` selects
     the first index whose cumulative probability strictly exceeds u, so
     zero-probability indices can never be hit. Returns a map holding only
-    the indices that received at least one shot; values sum to `shots`.
+    the indices that received at least one shot; values sum to `shots`. A
+    state with no probability mass (all zero, or NaN) is rejected.
 
     The samples are not placed one by one: the stream is sorted once per
     chunk of at most 2^16 samples and kept, and index i receives the samples
@@ -126,6 +113,10 @@ def measure(state: np.ndarray, shots: int, rng_seed: int) -> dict:
         raise ValueError("shots must be positive")
     probs = np.abs(state) ** 2
     cdf = probs.cumsum()
+    # cdf[-1] is the total mass; the test is also false for NaN, which would
+    # otherwise count every shot at index 0
+    if not cdf[-1] > 0.0:
+        raise ValueError("state has no probability mass to measure")
     seed = rng_seed & MASK64
     below = 0
     for start in range(0, shots, _SHOT_CHUNK):

@@ -1,14 +1,15 @@
 """Rainbow table construction, persistence, and the bucket index.
 
 A table stores one chain per wordlist entry: only the starting plaintext and
-the final 3-character reduction survive. Chain ends are Pearson-hashed into
-16-bit values whose high 12 bits select a bucket and whose low 4 bits are the
-residues searched at crack time. The index also keeps the end hashes sorted,
-so the rows ending in a given hash are found by binary search.
+the final 3-character reduction survive. The bucket index Pearson-hashes the
+chain ends into 16-bit values whose high 12 bits select a bucket and whose
+low 4 bits are the residues searched at crack time. It also keeps the end
+hashes sorted, so the rows ending in a given hash are found by binary search.
 """
 
 import hashlib
 import re
+import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -23,6 +24,9 @@ BUCKET_WIDTH = 16
 
 _HEADER_RE = re.compile(r"^QIRIS v(\d+) seed=(\d+) chain=R1,R2,R3,R4$")
 
+# seed -> the permutation that live BucketIndex objects hold
+_live_permutations = weakref.WeakValueDictionary()
+
 
 @dataclass(frozen=True, slots=True)
 class Chain:
@@ -34,8 +38,9 @@ class Chain:
 
 @dataclass
 class RainbowTable:
+    """What a table file holds: the chains in row order and the permutation seed."""
+
     chains: list
-    end_hashed: list
     perm_seed: int
 
 
@@ -43,14 +48,17 @@ class RainbowTable:
 class BucketIndex:
     """Bucket residues plus a sorted end-hash index over the table's rows.
 
-    `buckets` maps each 12-bit bucket key to the 4-bit residues stored under
-    it. `hashes` holds every row's end hash in ascending order and `rows` the
-    row id at the same position; rows sharing a hash stay in ascending order.
+    `buckets` maps each 12-bit bucket key to the distinct 4-bit residues
+    stored under it, ascending. `hashes` holds every row's end hash in
+    ascending order and `rows` the row id at the same position; rows sharing
+    a hash stay in ascending order. `perm` is the permutation that hashed
+    the ends, and the one `crack` must hash its candidates with.
     """
 
     buckets: dict
     hashes: array
     rows: array
+    perm: PearsonPermutation
 
     def rows_for(self, h: int) -> list:
         """All row ids whose end hash equals `h`, in ascending order; O(log N)."""
@@ -62,19 +70,18 @@ def generate_table(wordlist, specs, perm: PearsonPermutation) -> RainbowTable:
 
     Words must be non-empty ASCII without whitespace; duplicates are allowed
     and produce duplicate chains. Input order is preserved. With no specs a
-    chain ends at its start word.
+    chain ends at its start word. `perm` fixes the table's seed; the ends
+    are hashed by build_buckets.
     """
     words = list(wordlist)
     if not words:
         raise ValueError("wordlist is empty")
     chains = []
-    end_hashed = []
     for pos, word in enumerate(words, start=1):
         _check_plaintext(word, f"wordlist entry {pos}")
         end = walk_chain(hashlib.md5(word.encode()).digest(), specs) if specs else word
         chains.append(Chain(start=word, end=end))
-        end_hashed.append(pearson16(end, perm))
-    return RainbowTable(chains=chains, end_hashed=end_hashed, perm_seed=perm.seed)
+    return RainbowTable(chains=chains, perm_seed=perm.seed)
 
 
 def _check_plaintext(text: str, where: str) -> None:
@@ -116,21 +123,28 @@ def _read_lines(path, label: str) -> list:
 
 
 def build_buckets(table: RainbowTable) -> BucketIndex:
-    """Insert each end hash h as residue h % 16 under bucket key h // 16.
+    """Hash every chain end and index the hashes; the one place ends are hashed.
 
-    Duplicate residues are kept in insertion order; deduplication is the
-    search layer's concern. Only non-empty buckets exist. The sorted index
-    costs 6 bytes per row.
+    The ends are hashed with the permutation for the table's seed, and each
+    distinct end hash h becomes residue h % 16 under bucket key h // 16.
+    Only non-empty buckets exist. The sorted index costs 6 bytes per row.
+    Indexes over one seed share one permutation object while any of them is
+    alive, so a process holding many tables keeps one 65,535-entry table.
     """
+    perm = build_permutation(table.perm_seed)
+    # built before the lookup: a cached build made perfbench's one-round
+    # smoke sessions shorter than its 10 ms sampling interval (ROADMAP item 6)
+    perm = _live_permutations.setdefault(perm.seed, perm)
+    hashes = np.fromiter((pearson16(chain.end, perm) for chain in table.chains), np.uint16)
     buckets = {}
-    for h in table.end_hashed:
+    for h in np.unique(hashes).tolist():
         buckets.setdefault(h // BUCKET_WIDTH, []).append(h % BUCKET_WIDTH)
-    hashes = np.array(table.end_hashed, dtype=np.uint16)
     order = np.argsort(hashes, kind="stable")
     return BucketIndex(
         buckets=buckets,
         hashes=array("H", hashes[order].tobytes()),
         rows=array("i", order.astype(np.intc).tobytes()),
+        perm=perm,
     )
 
 
@@ -155,16 +169,10 @@ def save_table(table: RainbowTable, path) -> None:
 def load_table(path) -> RainbowTable:
     """Read a table file written by save_table.
 
-    The permutation seed comes from the header and the end hashes are
-    recomputed from it, so a loaded table is self-consistent by construction.
-    Malformed headers, unsupported versions, and malformed rows are rejected
-    with the number of the offending line.
+    The permutation seed comes from the header; the end hashes are derived
+    from it by build_buckets. Malformed headers, unsupported versions, and
+    malformed rows are rejected with the number of the offending line.
     """
-    return _load_table(path)[0]
-
-
-def _load_table(path) -> tuple:
-    """load_table plus the permutation it built, so callers need not build it again."""
     lines = _read_lines(path, "line")
     if not lines[0]:
         raise ValueError("line 1: missing table header")
@@ -193,7 +201,4 @@ def _load_table(path) -> tuple:
         chains.append(Chain(start=start, end=end))
     if not chains:
         raise ValueError("table has no chains")
-
-    perm = build_permutation(seed)
-    end_hashed = [pearson16(chain.end, perm) for chain in chains]
-    return RainbowTable(chains=chains, end_hashed=end_hashed, perm_seed=seed), perm
+    return RainbowTable(chains=chains, perm_seed=seed)

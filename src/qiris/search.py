@@ -36,9 +36,12 @@ class SearchConfig:
 
     def __post_init__(self):
         if self.shots < 1:
-            raise ValueError("shots must be at least 1")
+            raise ValueError(f"shots (--shots) must be at least 1, got {self.shots}")
         if not 0 <= self.classical_threshold <= 16:
-            raise ValueError("classical_threshold must be in 0..16")
+            raise ValueError(
+                "classical_threshold (--classical-threshold) must be in 0..16, "
+                f"got {self.classical_threshold}"
+            )
         if not 0 <= self.rng_seed <= MASK64:
             raise ValueError(
                 f"rng_seed (--rng-seed) must be in 0..{MASK64}, got {self.rng_seed}"
@@ -106,13 +109,12 @@ def crack(
         if bucket is None:
             report.bucket_misses += 1
             continue
-        distinct = set(bucket)
-        if not cfg.quantum_enabled or len(distinct) <= cfg.classical_threshold:
+        if not cfg.quantum_enabled or len(bucket) <= cfg.classical_threshold:
             report.classical_fallbacks += 1
-            present = residue in distinct
+            present = residue in bucket
         else:
             outcome = grover_search(
-                distinct, residue, shots=cfg.shots, rng_seed=cfg.rng_seed
+                bucket, residue, shots=cfg.shots, rng_seed=cfg.rng_seed
             )
             report.grover_invocations += 1
             report.grover_iterations_total += outcome.iterations

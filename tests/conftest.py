@@ -1,6 +1,11 @@
 import pytest
 
-from qiris.hashing import build_permutation, canonical_reduction_specs
+from qiris.hashing import (
+    BASE62_ALPHABET,
+    build_permutation,
+    canonical_reduction_specs,
+    pearson16,
+)
 from qiris.rainbow_table import build_buckets, generate_table
 
 # Fixed 100-word list used across the suite; all ASCII, no whitespace, distinct.
@@ -56,3 +61,17 @@ def table100(words100, specs, perm44):
 @pytest.fixture(scope="session")
 def buckets100(table100):
     return build_buckets(table100)
+
+
+@pytest.fixture(scope="session")
+def end_for_hash(perm44):
+    """One 3-character base62 chain end for each end hash that seed 44 reaches.
+
+    Tests that need rows with given end hashes build them from these ends.
+    """
+    ends = {}
+    for a in BASE62_ALPHABET:
+        for b in BASE62_ALPHABET:
+            for c in BASE62_ALPHABET:
+                ends.setdefault(pearson16(a + b + c, perm44), a + b + c)
+    return ends

@@ -132,6 +132,22 @@ def test_rejects_out_of_range_rng_seed(workspace, tmp_path, capsys, command, see
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["crack", "compare"])
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--shots", "0"), ("--classical-threshold", "99"), ("--classical-threshold", "-1")],
+)
+def test_rejects_out_of_range_search_flags(workspace, tmp_path, capsys, command, flag, value):
+    hashes = tmp_path / "hashes.txt"
+    hashes.write_text(md5_hex("qwerty") + "\n", encoding="ascii")
+    query = [md5_hex("qwerty")] if command == "crack" else ["--hashes", str(hashes)]
+    code = run_cli([command, "--table", str(workspace["table"]), flag, value, *query])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert flag in captured.err
+    assert captured.out == ""
+
+
 def test_generate_accepts_largest_perm_seed(workspace, tmp_path):
     out = tmp_path / "t.txt"
     code = run_cli(

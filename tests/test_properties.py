@@ -1,5 +1,5 @@
 """Property-based checks of the chain walk, the end-hash index, the hybrid
-crack, the permutation and the table file."""
+crack, the permutation, the SplitMix64 stream and the table file."""
 
 import hashlib
 import os
@@ -17,7 +17,7 @@ from qiris.hashing import (
     reduce,
     walk_chain,
 )
-from qiris.prng import SplitMix64
+from qiris.prng import GAMMA, SplitMix64, splitmix64_block
 from qiris.rainbow_table import (
     Chain,
     RainbowTable,
@@ -91,7 +91,6 @@ def test_save_load_round_trip(specs, words, seed):
         save_table(table, path)
         loaded = load_table(path)
     assert loaded.chains == table.chains
-    assert loaded.end_hashed == table.end_hashed
     assert loaded.perm_seed == seed
 
 
@@ -125,12 +124,17 @@ def test_load_table_fuzz_raises_only_value_or_os_error(data):
     assert isinstance(table, RainbowTable) and table.chains
 
 
-@given(st.lists(END_HASHES, min_size=1, max_size=60), st.lists(END_HASHES, max_size=5))
-def test_index_lookup_matches_scan(end_hashed, probes):
-    chains = [Chain(start=f"w{i}", end="abc") for i in range(len(end_hashed))]
-    index = build_buckets(RainbowTable(chains=chains, end_hashed=end_hashed, perm_seed=44))
-    for h in set(end_hashed) | set(probes):
-        assert index.rows_for(h) == [i for i, v in enumerate(end_hashed) if v == h]
+@given(st.data(), st.lists(END_HASHES, max_size=5))
+def test_index_lookup_matches_scan(end_for_hash, data, probes):
+    reachable = sorted(end_for_hash)
+    edges = st.sampled_from([reachable[0], reachable[1], reachable[-2], reachable[-1]])
+    hashes = data.draw(
+        st.lists(st.one_of(st.sampled_from(reachable), edges), min_size=1, max_size=60)
+    )
+    chains = [Chain(start=f"w{i}", end=end_for_hash[h]) for i, h in enumerate(hashes)]
+    index = build_buckets(RainbowTable(chains=chains, perm_seed=44))
+    for h in set(hashes) | set(probes):
+        assert index.rows_for(h) == [i for i, v in enumerate(hashes) if v == h]
 
 
 @settings(max_examples=40, deadline=None)
@@ -163,3 +167,12 @@ def _sequential_permutation(seed):
 @pytest.mark.parametrize("seed", [0, 44, 2**64 - 1, 2**64 + 5])
 def test_permutation_matches_sequential_shuffle(seed):
     assert build_permutation(seed).table == _sequential_permutation(seed)
+
+
+@given(st.integers(0, 2**65), st.integers(0, 300), st.integers(0, 300))
+def test_splitmix64_block_offset_and_stream(seed, k, n):
+    # build_permutation and measure draw outputs k+1 onward as the block for seed + k*gamma
+    rng = SplitMix64(seed)
+    stream = [rng.next_u64() for _ in range(k + n)]
+    assert splitmix64_block(seed, k + n).tolist() == stream
+    assert splitmix64_block(seed + k * GAMMA, n).tolist() == stream[k:]

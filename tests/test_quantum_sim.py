@@ -12,7 +12,6 @@ from qiris.quantum_sim import (
     GroverOutcome,
     _sorted_shots,
     apply_oracle,
-    basis_bitstring,
     grover_iterations,
     grover_search,
     measure,
@@ -172,6 +171,17 @@ def test_measure_global_phase_invariance():
 def test_measure_rejects_zero_shots():
     with pytest.raises(ValueError):
         measure(prepare_state({5}, 16), 0, rng_seed=1)
+
+
+def test_measure_rejects_all_zero_state():
+    with pytest.raises(ValueError, match="no probability mass"):
+        measure(np.zeros(16, dtype=np.complex128), 1024, rng_seed=1)
+
+
+def test_measure_rejects_nan_state():
+    state = np.full(16, np.nan, dtype=np.complex128)
+    with pytest.raises(ValueError, match="no probability mass"):
+        measure(state, 1024, rng_seed=1)
 
 
 def per_shot_measure(state, shots, rng_seed):
@@ -347,14 +357,3 @@ def test_grover_search_rejects_bad_target():
     with pytest.raises(ValueError):
         grover_search({1, 2, 3}, 16, rng_seed=1)
 
-
-def test_basis_bitstring_is_lsb_first():
-    assert basis_bitstring(1, 16) == "1000"
-    assert basis_bitstring(3, 16) == "1100"
-    assert basis_bitstring(8, 16) == "0001"
-    assert basis_bitstring(9, 16) == "1001"
-    assert basis_bitstring(1, 8) == "100"
-    with pytest.raises(ValueError):
-        basis_bitstring(16, 16)
-    with pytest.raises(ValueError):
-        basis_bitstring(0, 12)

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from qiris.hashing import build_permutation, md5_hex
+from qiris.hashing import build_permutation, md5_hex, pearson16
 from qiris.rainbow_table import (
     BUCKET_WIDTH,
     Chain,
@@ -15,9 +15,10 @@ from qiris.rainbow_table import (
 )
 
 
-def _table(end_hashed):
-    chains = [Chain(start=f"w{i}", end="abc") for i in range(len(end_hashed))]
-    return RainbowTable(chains=chains, end_hashed=list(end_hashed), perm_seed=44)
+def _table(end_for_hash, hashes):
+    """A seed-44 table whose row i ends in a chain end hashing to hashes[i]."""
+    chains = [Chain(start=f"w{i}", end=end_for_hash[h]) for i, h in enumerate(hashes)]
+    return RainbowTable(chains=chains, perm_seed=44)
 
 
 def test_generate_single_word(perm44, specs):
@@ -25,15 +26,15 @@ def test_generate_single_word(perm44, specs):
     assert len(table.chains) == 1
     assert table.chains[0].start == "password"
     assert table.chains[0].end == "xk9"  # frozen from the reference chain walk
-    assert table.end_hashed == [454]
     assert table.perm_seed == 44
+    assert build_buckets(table).hashes.tolist() == [454]
 
 
-def test_generate_preserves_order(table100, words100):
+def test_generate_preserves_order(table100, buckets100, words100):
     assert len(table100.chains) == 100
     assert [c.start for c in table100.chains] == words100
-    assert len(table100.end_hashed) == 100
-    assert all(0 <= h <= 65534 for h in table100.end_hashed)
+    assert len(buckets100.hashes) == 100
+    assert all(0 <= h <= 65534 for h in buckets100.hashes)
 
 
 def test_generate_deterministic(perm44, specs, words100):
@@ -44,7 +45,8 @@ def test_generate_deterministic(perm44, specs, words100):
 def test_generate_keeps_duplicates(perm44, specs):
     table = generate_table(["hello", "hello"], specs, perm44)
     assert table.chains[0] == table.chains[1]
-    assert table.end_hashed[0] == table.end_hashed[1]
+    index = build_buckets(table)
+    assert index.rows_for(index.hashes[0]) == [0, 1]
 
 
 @pytest.mark.parametrize(
@@ -62,16 +64,27 @@ def test_generate_rejects_bad_wordlists(words, fragment, perm44, specs):
         generate_table(words, specs, perm44)
 
 
-def test_buckets_single_value():
-    assert build_buckets(_table([37])).buckets == {2: [5]}
+def test_buckets_single_value(end_for_hash):
+    assert build_buckets(_table(end_for_hash, [37])).buckets == {2: [5]}
 
 
-def test_buckets_boundaries():
-    assert build_buckets(_table([0, 15, 16])).buckets == {0: [0, 15], 1: [0]}
+def test_buckets_boundaries(end_for_hash):
+    index = build_buckets(_table(end_for_hash, [16, 15, 0, 65534]))
+    assert index.buckets == {0: [0, 15], 1: [0], 4095: [14]}
 
 
-def test_buckets_keep_duplicates():
-    assert build_buckets(_table([5, 5])).buckets == {0: [5, 5]}
+def test_buckets_keep_duplicates(end_for_hash):
+    # a bucket holds each residue once; the sorted index keeps every row
+    index = build_buckets(_table(end_for_hash, [5, 5]))
+    assert index.buckets == {0: [5]}
+    assert index.rows_for(5) == [0, 1]
+
+
+def test_buckets_share_one_permutation(end_for_hash, perm44):
+    a = build_buckets(_table(end_for_hash, [37]))
+    b = build_buckets(_table(end_for_hash, [5, 5]))
+    assert a.perm is b.perm
+    assert a.perm.table == perm44.table
 
 
 def test_bucket_ranges_and_nonempty(buckets100):
@@ -79,18 +92,20 @@ def test_bucket_ranges_and_nonempty(buckets100):
         assert 0 <= key <= 4095
         assert residues
         assert all(0 <= r <= 15 for r in residues)
+        assert residues == sorted(set(residues))
 
 
-def test_bucket_reconstruction_roundtrip(table100, buckets100):
-    rebuilt = Counter()
-    for key, residues in buckets100.buckets.items():
-        for r in residues:
-            rebuilt[key * BUCKET_WIDTH + r] += 1
-    assert rebuilt == Counter(table100.end_hashed)
+def test_bucket_reconstruction_roundtrip(table100, buckets100, perm44):
+    end_hashes = [pearson16(chain.end, perm44) for chain in table100.chains]
+    rebuilt = {
+        key * BUCKET_WIDTH + r for key, residues in buckets100.buckets.items() for r in residues
+    }
+    assert rebuilt == set(end_hashes)
+    assert Counter(buckets100.hashes) == Counter(end_hashes)
 
 
-def test_end_hash_indices():
-    index = build_buckets(_table([7, 3, 7]))
+def test_end_hash_indices(end_for_hash):
+    index = build_buckets(_table(end_for_hash, [7, 3, 7]))
     assert index.rows_for(7) == [0, 2]
     assert index.rows_for(3) == [1]
     assert index.rows_for(9999) == []
@@ -184,9 +199,7 @@ def test_load_rejects_non_ascii(tmp_path):
 
 
 def test_save_rejects_non_canonical_ends(tmp_path):
-    table = RainbowTable(
-        chains=[Chain(start="word", end="ab")], end_hashed=[1], perm_seed=44
-    )
+    table = RainbowTable(chains=[Chain(start="word", end="ab")], perm_seed=44)
     with pytest.raises(ValueError, match="base62"):
         save_table(table, tmp_path / "bad.txt")
 
@@ -196,6 +209,7 @@ def test_loaded_end_hashes_recomputed(perm44, specs, tmp_path):
     path = tmp_path / "t.txt"
     save_table(table, path)
     loaded = load_table(path)
-    assert loaded.end_hashed == table.end_hashed
+    assert build_buckets(loaded).hashes == build_buckets(table).hashes
     # sanity: recomputation really derives from the end plaintext
+    assert build_buckets(loaded).hashes.tolist() == [pearson16(table.chains[0].end, perm44)]
     assert md5_hex(loaded.chains[0].start) == md5_hex("monkey")

@@ -20,7 +20,7 @@ def test_membership_classical(perm44, specs):
     # with the stored residue swapped for its neighbour the chain is never read
     table = generate_table(["password"], specs, perm44)
     index = build_buckets(table)
-    key, residue = divmod(table.end_hashed[0], BUCKET_WIDTH)
+    key, residue = divmod(index.hashes[0], BUCKET_WIDTH)
     other = dataclasses.replace(index, buckets={key: [residue ^ 1, residue ^ 2]})
     query = md5_hex("password")
     found = crack(query, table, index, perm44, specs, NO_QUANTUM)
