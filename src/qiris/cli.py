@@ -16,6 +16,7 @@ from .hashing import (
 )
 from .prng import MASK64
 from .rainbow_table import (
+    BUCKET_WIDTH,
     _check_plaintext,
     _read_lines,
     build_buckets,
@@ -77,7 +78,6 @@ def _search_config(args) -> SearchConfig:
         shots=args.shots,
         classical_threshold=args.classical_threshold,
         rng_seed=args.rng_seed,
-        quantum_enabled=not args.no_quantum,
     )
 
 
@@ -153,13 +153,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--table", required=True, help="table file from `generate`")
-    common.add_argument("--shots", type=int, default=1024)
-    common.add_argument("--rng-seed", type=int, default=7)
-    common.add_argument("--classical-threshold", type=int, default=2)
-    common.add_argument(
+    common.add_argument("--shots", type=int, default=SearchConfig.shots)
+    common.add_argument("--rng-seed", type=int, default=SearchConfig.rng_seed)
+    routing = common.add_mutually_exclusive_group()
+    routing.add_argument(
+        "--classical-threshold", type=int, default=SearchConfig.classical_threshold
+    )
+    routing.add_argument(
         "--no-quantum",
-        action="store_true",
-        help="route every bucket probe through the classical membership test",
+        dest="classical_threshold",
+        action="store_const",
+        const=BUCKET_WIDTH,
+        help=f"same as --classical-threshold {BUCKET_WIDTH}: no probe runs Grover",
     )
 
     crack_p = sub.add_parser(

@@ -21,26 +21,26 @@ from .hashing import (
     walk_chain,
 )
 from .prng import MASK64
-from .quantum_sim import grover_search
+from .quantum_sim import DEFAULT_SHOTS, grover_search
 from .rainbow_table import BUCKET_WIDTH, BucketIndex, RainbowTable
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the hybrid crack; defaults mirror the CLI."""
+    """Knobs for the hybrid crack; the CLI reads its defaults from here."""
 
-    shots: int = 1024
+    shots: int = DEFAULT_SHOTS
     classical_threshold: int = 2
     rng_seed: int = 7
-    quantum_enabled: bool = True
 
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError(f"shots (--shots) must be at least 1, got {self.shots}")
-        if not 0 <= self.classical_threshold <= 16:
+        if not 2 <= self.classical_threshold <= BUCKET_WIDTH:
             raise ValueError(
-                "classical_threshold (--classical-threshold) must be in 0..16, "
-                f"got {self.classical_threshold}"
+                "classical_threshold (--classical-threshold) must be in "
+                f"2..{BUCKET_WIDTH}, got {self.classical_threshold}: below 2, an m = 2 "
+                "bucket gets one Grover round, which is right with probability 1/2"
             )
         if not 0 <= self.rng_seed <= MASK64:
             raise ValueError(
@@ -52,12 +52,12 @@ class SearchConfig:
 class SearchReport:
     """Crack outcome plus per-probe accounting."""
 
-    result: str | None
-    chains_examined: int
-    grover_invocations: int
-    grover_iterations_total: int
-    classical_fallbacks: int
-    bucket_misses: int
+    result: str | None = None
+    chains_examined: int = 0
+    grover_invocations: int = 0
+    grover_iterations_total: int = 0
+    classical_fallbacks: int = 0
+    bucket_misses: int = 0
 
 
 def rebuild_chain(start: str, remaining_specs) -> tuple:
@@ -91,14 +91,7 @@ def crack(
         raise ValueError(
             f"permutation seed {perm.seed} does not match table seed {table.perm_seed}"
         )
-    report = SearchReport(
-        result=None,
-        chains_examined=0,
-        grover_invocations=0,
-        grover_iterations_total=0,
-        classical_fallbacks=0,
-        bucket_misses=0,
-    )
+    report = SearchReport()
     n = len(specs)
     for i in range(1, n + 1):
         report.chains_examined = i
@@ -109,7 +102,7 @@ def crack(
         if bucket is None:
             report.bucket_misses += 1
             continue
-        if not cfg.quantum_enabled or len(bucket) <= cfg.classical_threshold:
+        if len(bucket) <= cfg.classical_threshold:
             report.classical_fallbacks += 1
             present = residue in bucket
         else:

@@ -135,7 +135,12 @@ def test_rejects_out_of_range_rng_seed(workspace, tmp_path, capsys, command, see
 @pytest.mark.parametrize("command", ["crack", "compare"])
 @pytest.mark.parametrize(
     "flag,value",
-    [("--shots", "0"), ("--classical-threshold", "99"), ("--classical-threshold", "-1")],
+    [
+        ("--shots", "0"),
+        ("--classical-threshold", "99"),
+        ("--classical-threshold", "-1"),
+        ("--classical-threshold", "1"),
+    ],
 )
 def test_rejects_out_of_range_search_flags(workspace, tmp_path, capsys, command, flag, value):
     hashes = tmp_path / "hashes.txt"
@@ -282,6 +287,45 @@ def test_crack_no_quantum(workspace, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out.splitlines()[0] == "monkey"
+
+
+def test_crack_report_same_under_both_routing_spellings(workspace, capsys):
+    # soccer1's bucket takes the Grover path at the default threshold
+    outputs = []
+    for flags in (["--no-quantum"], ["--classical-threshold", "16"]):
+        argv = ["crack", "--report", "--table", str(workspace["table"]), *flags]
+        codes = [run_cli([*argv, md5_hex(w)]) for w in ("monkey", "soccer1", "absent")]
+        outputs.append((codes, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    codes, out = outputs[0]
+    assert codes == [0, 0, 1]
+    assert out.count("grover_invocations=0\n") == 3
+
+
+def test_compare_same_under_both_routing_spellings(workspace, words100, tmp_path, capsys):
+    hashes = tmp_path / "hashes.txt"
+    queries = words100[:5] + words100[94:] + ["not-in-the-table"]
+    hashes.write_text("\n".join(md5_hex(w) for w in queries) + "\n", encoding="ascii")
+    outputs = []
+    for flags in (["--no-quantum"], ["--classical-threshold", "16"]):
+        argv = ["compare", "--table", str(workspace["table"]), "--hashes", str(hashes)]
+        assert run_cli([*argv, *flags]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == len(queries) + 1
+
+
+@pytest.mark.parametrize("command", ["crack", "compare"])
+def test_routing_flags_are_exclusive(workspace, tmp_path, capsys, command):
+    hashes = tmp_path / "hashes.txt"
+    hashes.write_text(md5_hex("qwerty") + "\n", encoding="ascii")
+    query = [md5_hex("qwerty")] if command == "crack" else ["--hashes", str(hashes)]
+    flags = ["--no-quantum", "--classical-threshold", "16"]
+    code = run_cli([command, "--table", str(workspace["table"]), *flags, *query])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--classical-threshold" in captured.err
+    assert captured.out == ""
 
 
 def test_compare_on_known_hashes(workspace, words100, tmp_path, capsys):

@@ -19,6 +19,7 @@ from qiris.hashing import (
 )
 from qiris.prng import GAMMA, SplitMix64, splitmix64_block
 from qiris.rainbow_table import (
+    BUCKET_WIDTH,
     Chain,
     RainbowTable,
     build_buckets,
@@ -26,7 +27,7 @@ from qiris.rainbow_table import (
     load_table,
     save_table,
 )
-from qiris.search import crack, crack_classical, rebuild_chain
+from qiris.search import SearchConfig, crack, crack_classical, rebuild_chain
 
 END_HASHES = st.one_of(st.integers(0, 65534), st.sampled_from([0, 1, 65533, 65534]))
 WORDS = st.text("abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=8)
@@ -142,17 +143,36 @@ def test_index_lookup_matches_scan(end_for_hash, data, probes):
     st.lists(WORDS, min_size=1, max_size=30),
     st.lists(st.tuples(st.integers(0, 40), st.integers(0, 3)), min_size=1, max_size=6),
     st.lists(st.binary(min_size=1, max_size=12), max_size=3),
+    st.builds(SearchConfig, classical_threshold=st.integers(2, BUCKET_WIDTH)),
+    st.lists(st.integers(0, BUCKET_WIDTH), min_size=1, max_size=4),
 )
-def test_crack_agrees_with_classical(perm44, specs, words, hits, misses):
+def test_crack_agrees_with_classical(
+    perm44, end_for_hash, specs, words, hits, misses, cfg, fills
+):
     table = generate_table(words, specs, perm44)
+    # extra rows, whose starts rebuild to no query, put residues 0..fill-1 in
+    # each chain's bucket, so probes meet buckets on both sides of the threshold
+    keys = sorted({h // BUCKET_WIDTH for h in build_buckets(table).hashes})
+    ends = [
+        end_for_hash.get(key * BUCKET_WIDTH + r)
+        for j, key in enumerate(keys)
+        for r in range(fills[j % len(fills)])
+    ]
+    fillers = [Chain(start=f"fill{i}", end=end) for i, end in enumerate(ends) if end]
+    table = RainbowTable(chains=table.chains + fillers, perm_seed=table.perm_seed)
     index = build_buckets(table)
     queries = [rebuild_chain(words[row % len(words)], specs[:depth])[1] for row, depth in hits]
     queries += [md5_hex(b"miss:" + data) for data in misses]
     for query in queries:
-        result = crack(query, table, index, perm44, specs).result
-        assert result == crack_classical(query, table, specs)
-        if result is not None:
-            assert md5_hex(result) == query
+        report = crack(query, table, index, perm44, specs, cfg)
+        assert report.result == crack_classical(query, table, specs)
+        if report.result is not None:
+            assert md5_hex(report.result) == query
+        # each suffix tried takes exactly one path: miss, classical or Grover
+        paths = report.bucket_misses + report.classical_fallbacks + report.grover_invocations
+        assert paths == report.chains_examined
+        if cfg.classical_threshold == BUCKET_WIDTH:
+            assert report.grover_invocations == 0
 
 
 def _sequential_permutation(seed):

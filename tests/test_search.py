@@ -12,7 +12,7 @@ from qiris.search import (
     rebuild_chain,
 )
 
-NO_QUANTUM = SearchConfig(quantum_enabled=False)
+NO_QUANTUM = SearchConfig(classical_threshold=BUCKET_WIDTH)
 
 
 def test_membership_classical(perm44, specs):
@@ -166,10 +166,13 @@ def test_classical_scan_counts_comparisons(table100, specs):
         {"classical_threshold": 17},
         {"rng_seed": -1},
         {"rng_seed": 2**64},
+        {"classical_threshold": 0},
+        {"classical_threshold": 1},
     ],
 )
 def test_search_config_validation(kwargs):
-    with pytest.raises(ValueError):
+    (field,) = kwargs
+    with pytest.raises(ValueError, match="--" + field.replace("_", "-")):
         SearchConfig(**kwargs)
 
 
