@@ -9,6 +9,13 @@ stream for a seed is sorted once, in chunks, and each basis state's count is
 the number of sorted samples inside its CDF interval. That gives the same
 counts as placing every shot, in O(dimension * log shots) per call, and
 memory stays bounded for any shot count.
+
+`grover_decision(m, rank, shots, rng_seed)` memoizes the accept/reject bit
+of the search for the rank-th (from 0) of m marked states (an `lru_cache` of
+booleans bounded at 136 entries, one per (m, rank) with 1 <= m <= 16, so the
+keys of one shot count and seed never evict each other). A search over any
+m marked states gives the same counts as the one over range(m), relabelled
+in ascending order, because the unmarked amplitudes stay exactly zero.
 """
 
 import functools
@@ -169,3 +176,16 @@ def grover_search(
         target=target,
         decision=decision,
     )
+
+
+@functools.lru_cache(maxsize=DEFAULT_DIMENSION * (DEFAULT_DIMENSION + 1) // 2)
+def grover_decision(m: int, rank: int, shots: int, rng_seed: int) -> bool:
+    """Decision of the search for the rank-th smallest (from 0) of m marked states.
+
+    Equals `grover_search(marked, sorted(marked)[rank], ...).decision` for
+    any m distinct marked states: unmarked amplitudes are exactly 0
+    throughout, the other marked amplitudes stay equal, and the CDF meets
+    the marked states in ascending order, so the counts are those of the
+    search over range(m) with index j relabelled to the j-th marked state.
+    """
+    return grover_search(range(m), rank, shots=shots, rng_seed=rng_seed).decision

@@ -5,7 +5,11 @@ The quantum path asks the bucket index whether the candidate's 4-bit residue
 is present (classically for tiny buckets, by simulated Grover search
 otherwise) and only then looks up the rows ending in the candidate's hash in
 the sorted end-hash index; the classical baseline scans every stored chain
-end instead. Any hit is verified by rebuilding the chain and comparing MD5
+end instead. A Grover probe's outcome depends only on the bucket size m, the
+residue's rank in the ascending bucket, the shot count and the seed, so it
+is looked up in `grover_decision`'s memo, which simulates each such key
+once; an absent residue never receives a shot and is rejected without
+simulation. Any hit is verified by rebuilding the chain and comparing MD5
 digests, so both paths only ever return true preimages.
 """
 
@@ -21,7 +25,7 @@ from .hashing import (
     walk_chain,
 )
 from .prng import MASK64
-from .quantum_sim import DEFAULT_SHOTS, grover_search
+from .quantum_sim import DEFAULT_SHOTS, grover_decision, grover_iterations
 from .rainbow_table import BUCKET_WIDTH, BucketIndex, RainbowTable
 
 
@@ -84,6 +88,9 @@ def crack(
     plaintext match and then rebuilt, so 16-bit hash collisions cannot cause
     false positives or mask recoverable entries. Each suffix increments
     exactly one of bucket_misses, classical_fallbacks, grover_invocations.
+    A Grover probe's decision is looked up by (m, rank, shots, rng_seed) in
+    `grover_decision`'s memo; a residue absent from its bucket is rejected
+    before any simulation, since its amplitude would stay exactly 0.
     """
     query = normalize_digest(hash_hex)
     raw = bytes.fromhex(query)
@@ -102,16 +109,16 @@ def crack(
         if bucket is None:
             report.bucket_misses += 1
             continue
-        if len(bucket) <= cfg.classical_threshold:
+        m = len(bucket)
+        present = residue in bucket
+        if m <= cfg.classical_threshold:
             report.classical_fallbacks += 1
-            present = residue in bucket
         else:
-            outcome = grover_search(
-                bucket, residue, shots=cfg.shots, rng_seed=cfg.rng_seed
-            )
             report.grover_invocations += 1
-            report.grover_iterations_total += outcome.iterations
-            present = outcome.decision
+            report.grover_iterations_total += grover_iterations(m)
+            present = present and grover_decision(
+                m, bucket.index(residue), cfg.shots, cfg.rng_seed
+            )
         if not present:
             continue
         for row in buckets.rows_for(h):

@@ -1,5 +1,6 @@
 """Property-based checks of the chain walk, the end-hash index, the hybrid
-crack, the permutation, the SplitMix64 stream and the table file."""
+crack, the Grover decision memo, the permutation, the SplitMix64 stream and
+the table file."""
 
 import hashlib
 import os
@@ -18,6 +19,7 @@ from qiris.hashing import (
     walk_chain,
 )
 from qiris.prng import GAMMA, SplitMix64, splitmix64_block
+from qiris.quantum_sim import _SHOT_CHUNK, grover_decision, grover_search
 from qiris.rainbow_table import (
     BUCKET_WIDTH,
     Chain,
@@ -173,6 +175,32 @@ def test_crack_agrees_with_classical(
         assert paths == report.chains_examined
         if cfg.classical_threshold == BUCKET_WIDTH:
             assert report.grover_invocations == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 15), min_size=3, max_size=16, unique=True).map(sorted),
+    st.integers(0, 15),
+    st.integers(0, 2**64 - 1),
+    # shot counts on both sides of each shot-stream chunk boundary
+    st.one_of(
+        st.integers(1, 3 * _SHOT_CHUNK + 1),
+        st.sampled_from([1, 2, _SHOT_CHUNK, _SHOT_CHUNK + 1, 3 * _SHOT_CHUNK + 1]),
+    ),
+)
+def test_grover_decision_is_the_relabelled_canonical_search(bucket, target, seed, shots):
+    # the memo is exact only if a search over any m residues measures like the
+    # one over range(m): the summation order inside np.vdot must not depend on
+    # where the zero amplitudes sit
+    outcome = grover_search(bucket, target, shots=shots, rng_seed=seed)
+    if target not in bucket:
+        assert outcome.counts.get(target, 0) == 0
+        assert not outcome.decision
+        return
+    m, rank = len(bucket), bucket.index(target)
+    canonical = grover_search(range(m), rank, shots=shots, rng_seed=seed)
+    assert outcome.counts == {bucket[j]: n for j, n in canonical.counts.items()}
+    assert outcome.decision == grover_decision(m, rank, shots, seed)
 
 
 def _sequential_permutation(seed):

@@ -2,8 +2,16 @@ import dataclasses
 
 import pytest
 
-from qiris.hashing import build_permutation, md5_hex, reduce
-from qiris.rainbow_table import BUCKET_WIDTH, build_buckets, generate_table
+import qiris.quantum_sim
+from qiris.hashing import build_permutation, md5_hex, pearson16, reduce, walk_chain
+from qiris.quantum_sim import grover_decision, grover_iterations
+from qiris.rainbow_table import (
+    BUCKET_WIDTH,
+    Chain,
+    RainbowTable,
+    build_buckets,
+    generate_table,
+)
 from qiris.search import (
     SearchConfig,
     crack,
@@ -122,6 +130,68 @@ def test_crack_takes_grover_path_for_large_bucket(
         assert report.result == word
         assert report.grover_invocations >= 1
         assert report.grover_iterations_total >= report.grover_invocations
+
+
+def test_grover_decision_accepts_every_present_key_at_default_flags():
+    # with absent residues always rejected, this makes hybrid == classical at
+    # the default shots and seed for every table, not only the sampled ones
+    cfg = SearchConfig()
+    for m in range(3, BUCKET_WIDTH + 1):
+        for rank in range(m):
+            assert grover_decision(m, rank, cfg.shots, cfg.rng_seed), (m, rank)
+
+
+def _one_suffix_table(word, specs, perm, end_for_hash, with_word):
+    """A table with specs[:1] whose bucket for md5(word)'s candidate holds 3 residues.
+
+    With `with_word` the candidate's own residue is one of them, else not.
+    """
+    text = walk_chain(bytes.fromhex(md5_hex(word)), specs[:1])
+    key, residue = divmod(pearson16(text, perm), BUCKET_WIDTH)
+    others = [
+        r for r in range(BUCKET_WIDTH) if r != residue and key * BUCKET_WIDTH + r in end_for_hash
+    ]
+    chains = [Chain(start=f"fill{r}", end=end_for_hash[key * BUCKET_WIDTH + r]) for r in others]
+    chains = chains[:2] + [Chain(start=word, end=text)] if with_word else chains[:3]
+    table = RainbowTable(chains=chains, perm_seed=perm.seed)
+    index = build_buckets(table)
+    assert len(index.buckets[key]) == 3 and (residue in index.buckets[key]) == with_word
+    return table, index
+
+
+def test_grover_probe_is_looked_up_and_absent_residue_skips_simulation(
+    perm44, specs, end_for_hash, monkeypatch
+):
+    info = grover_decision.cache_info()
+    assert info.maxsize is not None and info.maxsize >= 136
+    calls = []
+    real = qiris.quantum_sim.grover_search
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qiris.quantum_sim, "grover_search", counted)
+    grover_decision.cache_clear()
+    table, index = _one_suffix_table("qwerty", specs, perm44, end_for_hash, True)
+    for _ in range(2):
+        report = crack(md5_hex("qwerty"), table, index, perm44, specs[:1])
+        assert report.result == "qwerty"
+        assert report.grover_invocations == 1
+        assert report.grover_iterations_total == grover_iterations(3)
+    # one simulation fills the memo; the second probe reads it
+    assert len(calls) == 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an absent residue must not be simulated")
+
+    monkeypatch.setattr(qiris.quantum_sim, "grover_search", refuse)
+    grover_decision.cache_clear()
+    table, index = _one_suffix_table("qwerty", specs, perm44, end_for_hash, False)
+    report = crack(md5_hex("qwerty"), table, index, perm44, specs[:1])
+    assert report.result is None
+    assert report.grover_invocations == 1
+    assert report.grover_iterations_total == grover_iterations(3)
 
 
 def test_crack_rejects_seed_mismatch(table100, buckets100, specs):
