@@ -5,22 +5,26 @@ as direct vector reflections: a phase oracle negates the target amplitude
 and the diffusion step reflects about the prepared superposition, which is
 equivalent to the circuit formulation up to a global phase. Measurement is
 a deterministic inverse-CDF sampler over the SplitMix64 stream: the shot
-stream for a seed is sorted once, in chunks, and each basis state's count is
-the number of sorted samples inside its CDF interval. That gives the same
-counts as placing every shot, in O(dimension * log shots) per call, and
-memory stays bounded for any shot count.
+stream for a seed is drawn and sorted in chunks of at most 2^16 samples,
+each chunk once, and a basis state's count is the number of sorted samples
+inside its CDF interval. That gives the same counts as placing every shot,
+in O(dimension * log shots) per distribution, and memory stays bounded for
+any shot count.
 
-`grover_decision(m, rank, shots, rng_seed)` memoizes the accept/reject bit
-of the search for the rank-th (from 0) of m marked states (an `lru_cache` of
-booleans bounded at 136 entries, one per (m, rank) with 1 <= m <= 16, so the
-keys of one shot count and seed never evict each other). A search over any
-m marked states gives the same counts as the one over range(m), relabelled
-in ascending order, because the unmarked amplitudes stay exactly zero.
+`grover_decisions(shots, rng_seed)` is the accept/reject bit of every
+search `crack` can ask for, keyed by (m, rank) with 1 <= m <= 16: the search
+for the rank-th smallest (from 0) of m marked states. The 136 canonical
+searches over range(m) are evolved and then counted together, every CDF
+against one pass over the shot stream. One table, for the last (shots,
+rng_seed) asked for, is kept. A search over any m marked states gives the
+same counts as the one over range(m), relabelled in ascending order,
+because the unmarked amplitudes stay exactly zero.
 """
 
 import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -30,10 +34,9 @@ DEFAULT_DIMENSION = 16
 DEFAULT_SHOTS = 1024
 
 # The shot stream is drawn and sorted in chunks of at most this many samples
-# (512 KiB each); at most _SORTED_CHUNKS of them are kept, so measure retains
-# at most 2 MiB whatever the shot count.
+# (512 KiB each), one chunk at a time, so memory stays bounded whatever the
+# shot count.
 _SHOT_CHUNK = 1 << 16
-_SORTED_CHUNKS = 4
 
 
 @dataclass(frozen=True)
@@ -88,17 +91,30 @@ def grover_iterations(m: int) -> int:
     return math.floor(math.pi / 4.0 * math.sqrt(m))
 
 
-@functools.lru_cache(maxsize=_SORTED_CHUNKS)
-def _sorted_shots(seed: int, start: int, count: int) -> np.ndarray:
-    """Samples start..start+count-1 of the shot stream for `seed`, sorted and read-only.
+def _shot_counts(probs: np.ndarray, shots: int, rng_seed: int) -> np.ndarray:
+    """Shot counts per basis state for each row of `probs`, by `measure`'s rule.
 
-    The stream is counter-based, so those samples are the first `count` of
-    the stream for seed + start*gamma.
+    Every row is counted against the same `shots` samples of the SplitMix64
+    stream for `rng_seed`. The samples are not placed one by one: each chunk
+    of at most 2^16 is drawn and sorted once, and index i of a row receives
+    those with cdf[i-1] <= u < cdf[i], found by binary search of every CDF
+    value at once.
     """
-    u = unit_floats(seed + start * GAMMA, count)
-    u.sort()
-    u.flags.writeable = False
-    return u
+    cdf = probs.cumsum(axis=1)
+    below = np.zeros(cdf.shape, dtype=np.int64)
+    seed = rng_seed & MASK64
+    for start in range(0, shots, _SHOT_CHUNK):
+        # the stream is counter-based: samples start.. are the stream for
+        # seed + start*gamma
+        u = unit_floats(seed + start * GAMMA, min(_SHOT_CHUNK, shots - start))
+        u.sort()
+        below += u.searchsorted(cdf, side="left")
+    counts = np.diff(below, axis=1, prepend=0)
+    # cdf[-1] can land a hair under 1.0; fold the sliver into the last index
+    # that carries probability mass
+    last = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > 0.0, axis=1)
+    counts[np.arange(len(probs)), last] += shots - below[:, -1]
+    return counts
 
 
 def measure(state: np.ndarray, shots: int, rng_seed: int) -> dict:
@@ -108,39 +124,29 @@ def measure(state: np.ndarray, shots: int, rng_seed: int) -> dict:
     the first index whose cumulative probability strictly exceeds u, so
     zero-probability indices can never be hit. Returns a map holding only
     the indices that received at least one shot; values sum to `shots`. A
-    state with no probability mass (all zero, or NaN) is rejected.
-
-    The samples are not placed one by one: the stream is sorted once per
-    chunk of at most 2^16 samples and kept, and index i receives the samples
-    with cdf[i-1] <= u < cdf[i], found by binary search of each CDF value.
-    The counts equal those of per-shot sampling, and memory stays bounded
-    for any `shots`.
+    state with no probability mass (all zero, or NaN) is rejected. The
+    counts equal those of per-shot sampling, and memory stays bounded for
+    any `shots`.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
     probs = np.abs(state) ** 2
-    cdf = probs.cumsum()
-    # cdf[-1] is the total mass; the test is also false for NaN, which would
-    # otherwise count every shot at index 0
-    if not cdf[-1] > 0.0:
+    # the test is also false for NaN, which would otherwise count every shot
+    # at index 0
+    if not probs.sum() > 0.0:
         raise ValueError("state has no probability mass to measure")
-    seed = rng_seed & MASK64
-    below = 0
-    for start in range(0, shots, _SHOT_CHUNK):
-        chunk = _sorted_shots(seed, start, min(_SHOT_CHUNK, shots - start))
-        below = below + chunk.searchsorted(cdf, side="left")
-    counts = {}
-    previous = 0
-    for i, b in enumerate(below.tolist()):
-        if b > previous:
-            counts[i] = b - previous
-        previous = b
-    if previous < shots:
-        # cdf[-1] can land a hair under 1.0; fold the sliver into the last
-        # index that carries probability mass
-        last = int(np.flatnonzero(probs > 0.0)[-1])
-        counts[last] = counts.get(last, 0) + shots - previous
-    return counts
+    row = _shot_counts(probs[np.newaxis], shots, rng_seed)[0]
+    return {i: c for i, c in enumerate(row.tolist()) if c}
+
+
+def _evolve(members: set, target: int, dimension: int) -> tuple:
+    """Grover state after floor(pi/4*sqrt(m)) rounds over `members`, and the round count."""
+    prepared = prepare_state(members, dimension)
+    iterations = grover_iterations(len(members))
+    state = prepared
+    for _ in range(iterations):
+        state = reflect_about(apply_oracle(state, target), prepared)
+    return state, iterations
 
 
 def grover_search(
@@ -162,11 +168,7 @@ def grover_search(
     members = set(marked)
     if not 0 <= target < dimension:
         raise ValueError(f"target {target} out of range for dimension {dimension}")
-    prepared = prepare_state(members, dimension)
-    iterations = grover_iterations(len(members))
-    state = prepared
-    for _ in range(iterations):
-        state = reflect_about(apply_oracle(state, target), prepared)
+    state, iterations = _evolve(members, target, dimension)
     counts = measure(state, shots, rng_seed)
     decision = counts.get(target, 0) > shots // 2
     return GroverOutcome(
@@ -178,14 +180,21 @@ def grover_search(
     )
 
 
-@functools.lru_cache(maxsize=DEFAULT_DIMENSION * (DEFAULT_DIMENSION + 1) // 2)
-def grover_decision(m: int, rank: int, shots: int, rng_seed: int) -> bool:
-    """Decision of the search for the rank-th smallest (from 0) of m marked states.
+@functools.lru_cache(maxsize=1)
+def grover_decisions(shots: int, rng_seed: int) -> MappingProxyType:
+    """Decision of every search for the rank-th smallest (from 0) of m marked states.
 
-    Equals `grover_search(marked, sorted(marked)[rank], ...).decision` for
-    any m distinct marked states: unmarked amplitudes are exactly 0
+    Maps each (m, rank) with 1 <= m <= 16 to
+    `grover_search(marked, sorted(marked)[rank], ...).decision`, which is the
+    same for any m distinct marked states: unmarked amplitudes are exactly 0
     throughout, the other marked amplitudes stay equal, and the CDF meets
     the marked states in ascending order, so the counts are those of the
     search over range(m) with index j relabelled to the j-th marked state.
+    The mapping is read-only, as every caller shares it.
     """
-    return grover_search(range(m), rank, shots=shots, rng_seed=rng_seed).decision
+    keys = [(m, rank) for m in range(1, DEFAULT_DIMENSION + 1) for rank in range(m)]
+    states = [_evolve(set(range(m)), rank, DEFAULT_DIMENSION)[0] for m, rank in keys]
+    counts = _shot_counts(np.abs(np.array(states)) ** 2, shots, rng_seed)
+    return MappingProxyType(
+        {key: int(row[key[1]]) > shots // 2 for key, row in zip(keys, counts)}
+    )

@@ -133,7 +133,7 @@ def build_buckets(table: RainbowTable) -> BucketIndex:
     """
     perm = build_permutation(table.perm_seed)
     # built before the lookup: a cached build made perfbench's one-round
-    # smoke sessions shorter than its 10 ms sampling interval (ROADMAP item 6)
+    # smoke sessions shorter than its 10 ms sampling interval (ROADMAP item 1)
     perm = _live_permutations.setdefault(perm.seed, perm)
     hashes = np.fromiter((pearson16(chain.end, perm) for chain in table.chains), np.uint16)
     buckets = {}

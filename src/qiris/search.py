@@ -7,10 +7,12 @@ otherwise) and only then looks up the rows ending in the candidate's hash in
 the sorted end-hash index; the classical baseline scans every stored chain
 end instead. A Grover probe's outcome depends only on the bucket size m, the
 residue's rank in the ascending bucket, the shot count and the seed, so it
-is looked up in `grover_decision`'s memo, which simulates each such key
-once; an absent residue never receives a shot and is rejected without
-simulation. Any hit is verified by rebuilding the chain and comparing MD5
-digests, so both paths only ever return true preimages.
+is read from `grover_decisions(shots, rng_seed)`, one table of every
+(m, rank); an absent residue never receives a shot and is rejected without
+reading it. Any hit is verified by rebuilding the chain and comparing MD5
+digests, so both paths only ever return true preimages. A `SearchConfig`
+whose shot count and seed would reject a present residue in some bucket it
+sends to Grover is refused, so the two paths agree for every accepted one.
 """
 
 import hashlib
@@ -25,7 +27,7 @@ from .hashing import (
     walk_chain,
 )
 from .prng import MASK64
-from .quantum_sim import DEFAULT_SHOTS, grover_decision, grover_iterations
+from .quantum_sim import DEFAULT_SHOTS, grover_decisions, grover_iterations
 from .rainbow_table import BUCKET_WIDTH, BucketIndex, RainbowTable
 
 
@@ -50,6 +52,24 @@ class SearchConfig:
             raise ValueError(
                 f"rng_seed (--rng-seed) must be in 0..{MASK64}, got {self.rng_seed}"
             )
+        # at threshold 16 no probe runs Grover, and no table is built
+        if self.classical_threshold < BUCKET_WIDTH:
+            decisions = grover_decisions(self.shots, self.rng_seed)
+            rejected = [
+                key
+                for key, accept in decisions.items()
+                if key[0] > self.classical_threshold and not accept
+            ]
+            if rejected:
+                # the table lists m ascending
+                (m, rank), largest = rejected[0], rejected[-1][0]
+                raise ValueError(
+                    f"--shots {self.shots} with --rng-seed {self.rng_seed} is unsound: "
+                    f"the Grover vote rejects the present target of rank {rank} in an "
+                    f"m = {m} bucket, so hybrid and classical could disagree; choose "
+                    "another --shots or --rng-seed, or a --classical-threshold of at "
+                    f"least {largest}"
+                )
 
 
 @dataclass
@@ -88,9 +108,9 @@ def crack(
     plaintext match and then rebuilt, so 16-bit hash collisions cannot cause
     false positives or mask recoverable entries. Each suffix increments
     exactly one of bucket_misses, classical_fallbacks, grover_invocations.
-    A Grover probe's decision is looked up by (m, rank, shots, rng_seed) in
-    `grover_decision`'s memo; a residue absent from its bucket is rejected
-    before any simulation, since its amplitude would stay exactly 0.
+    A Grover probe's decision is read from `grover_decisions(shots,
+    rng_seed)` at (m, rank); a residue absent from its bucket is rejected
+    without reading it, since its amplitude would stay exactly 0.
     """
     query = normalize_digest(hash_hex)
     raw = bytes.fromhex(query)
@@ -116,9 +136,9 @@ def crack(
         else:
             report.grover_invocations += 1
             report.grover_iterations_total += grover_iterations(m)
-            present = present and grover_decision(
-                m, bucket.index(residue), cfg.shots, cfg.rng_seed
-            )
+            present = present and grover_decisions(cfg.shots, cfg.rng_seed)[
+                m, bucket.index(residue)
+            ]
         if not present:
             continue
         for row in buckets.rows_for(h):

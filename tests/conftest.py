@@ -75,3 +75,9 @@ def end_for_hash(perm44):
             for c in BASE62_ALPHABET:
                 ends.setdefault(pearson16(a + b + c, perm44), a + b + c)
     return ends
+
+
+@pytest.fixture(scope="session")
+def reachable_hashes(end_for_hash):
+    """The end hashes that seed 44 reaches, ascending."""
+    return sorted(end_for_hash)

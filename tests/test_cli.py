@@ -153,6 +153,28 @@ def test_rejects_out_of_range_search_flags(workspace, tmp_path, capsys, command,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["crack", "compare"])
+def test_refuses_shots_whose_vote_rejects_a_present_residue(
+    workspace, tmp_path, capsys, command
+):
+    # at seed 7, a 2-shot vote rejects present residues in buckets of 3..16,
+    # and a 3-shot vote rejects one in a bucket of 7
+    hashes = tmp_path / "hashes.txt"
+    hashes.write_text(md5_hex("qwerty") + "\n", encoding="ascii")
+    query = [md5_hex("qwerty")] if command == "crack" else ["--hashes", str(hashes)]
+    base = [command, "--table", str(workspace["table"])]
+    for flags in (["--shots", "2"], ["--shots", "3", "--classical-threshold", "6"]):
+        code = run_cli(base + flags + query)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"--shots {flags[1]} with --rng-seed 7" in captured.err
+        assert captured.out == ""
+    found = "qwerty\n" if command == "crack" else ",true,true,true,"
+    for flags in (["--shots", "2", "--no-quantum"], ["--shots", "3", "--classical-threshold", "7"]):
+        assert run_cli(base + flags + query) == 0
+        assert found in capsys.readouterr().out
+
+
 def test_generate_accepts_largest_perm_seed(workspace, tmp_path):
     out = tmp_path / "t.txt"
     code = run_cli(

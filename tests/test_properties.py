@@ -1,5 +1,5 @@
 """Property-based checks of the chain walk, the end-hash index, the hybrid
-crack, the Grover decision memo, the permutation, the SplitMix64 stream and
+crack, the Grover decision table, the permutation, the SplitMix64 stream and
 the table file."""
 
 import hashlib
@@ -7,7 +7,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from qiris.hashing import (
@@ -19,7 +19,7 @@ from qiris.hashing import (
     walk_chain,
 )
 from qiris.prng import GAMMA, SplitMix64, splitmix64_block
-from qiris.quantum_sim import _SHOT_CHUNK, grover_decision, grover_search
+from qiris.quantum_sim import _SHOT_CHUNK, grover_decisions, grover_search
 from qiris.rainbow_table import (
     BUCKET_WIDTH,
     Chain,
@@ -128,8 +128,8 @@ def test_load_table_fuzz_raises_only_value_or_os_error(data):
 
 
 @given(st.data(), st.lists(END_HASHES, max_size=5))
-def test_index_lookup_matches_scan(end_for_hash, data, probes):
-    reachable = sorted(end_for_hash)
+def test_index_lookup_matches_scan(end_for_hash, reachable_hashes, data, probes):
+    reachable = reachable_hashes
     edges = st.sampled_from([reachable[0], reachable[1], reachable[-2], reachable[-1]])
     hashes = data.draw(
         st.lists(st.one_of(st.sampled_from(reachable), edges), min_size=1, max_size=60)
@@ -145,12 +145,21 @@ def test_index_lookup_matches_scan(end_for_hash, data, probes):
     st.lists(WORDS, min_size=1, max_size=30),
     st.lists(st.tuples(st.integers(0, 40), st.integers(0, 3)), min_size=1, max_size=6),
     st.lists(st.binary(min_size=1, max_size=12), max_size=3),
-    st.builds(SearchConfig, classical_threshold=st.integers(2, BUCKET_WIDTH)),
+    st.integers(2, BUCKET_WIDTH),
+    # shot counts small enough for the vote to reject present residues at
+    # some seeds
+    st.integers(1, 16),
+    st.integers(0, 2**64 - 1),
     st.lists(st.integers(0, BUCKET_WIDTH), min_size=1, max_size=4),
 )
 def test_crack_agrees_with_classical(
-    perm44, end_for_hash, specs, words, hits, misses, cfg, fills
+    perm44, end_for_hash, specs, words, hits, misses, threshold, shots, seed, fills
 ):
+    try:
+        cfg = SearchConfig(shots=shots, classical_threshold=threshold, rng_seed=seed)
+    except ValueError:
+        # refused: the vote would reject a present residue above the threshold
+        reject()
     table = generate_table(words, specs, perm44)
     # extra rows, whose starts rebuild to no query, put residues 0..fill-1 in
     # each chain's bucket, so probes meet buckets on both sides of the threshold
@@ -189,7 +198,7 @@ def test_crack_agrees_with_classical(
     ),
 )
 def test_grover_decision_is_the_relabelled_canonical_search(bucket, target, seed, shots):
-    # the memo is exact only if a search over any m residues measures like the
+    # the table is exact only if a search over any m residues measures like the
     # one over range(m): the summation order inside np.vdot must not depend on
     # where the zero amplitudes sit
     outcome = grover_search(bucket, target, shots=shots, rng_seed=seed)
@@ -200,7 +209,7 @@ def test_grover_decision_is_the_relabelled_canonical_search(bucket, target, seed
     m, rank = len(bucket), bucket.index(target)
     canonical = grover_search(range(m), rank, shots=shots, rng_seed=seed)
     assert outcome.counts == {bucket[j]: n for j, n in canonical.counts.items()}
-    assert outcome.decision == grover_decision(m, rank, shots, seed)
+    assert outcome.decision == grover_decisions(shots, seed)[m, rank]
 
 
 def _sequential_permutation(seed):

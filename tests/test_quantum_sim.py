@@ -10,8 +10,8 @@ from qiris.prng import _MIX1, _MIX2, GAMMA, MASK64, unit_floats
 from qiris.quantum_sim import (
     _SHOT_CHUNK,
     GroverOutcome,
-    _sorted_shots,
     apply_oracle,
+    grover_decisions,
     grover_iterations,
     grover_search,
     measure,
@@ -262,7 +262,6 @@ def test_measure_sample_on_a_cdf_boundary_goes_to_the_next_index():
 def test_measure_memory_is_bounded():
     shots = 16 * _SHOT_CHUNK
     state = prepare_state(SEVEN_SET, 16)
-    _sorted_shots.cache_clear()
     tracemalloc.start()
     try:
         counts = measure(state, shots, rng_seed=7)
@@ -271,6 +270,19 @@ def test_measure_memory_is_bounded():
         tracemalloc.stop()
     assert sum(counts.values()) == shots
     assert peak < 8 * 2**20
+
+
+def test_decision_table_past_four_chunks_is_the_canonical_search():
+    # five shot-stream chunks: every CDF of the table is counted against each
+    # chunk, as measure counts one CDF. At m = 2 the target's probability is
+    # 1/2, so its decision turns on every sample; at m >= 3 it is above 0.87
+    shots = 4 * _SHOT_CHUNK + 1
+    decisions = grover_decisions(shots, 7)
+    assert len(decisions) == 136
+    for m in (2, 3, 7, 16):
+        for rank in range(m):
+            outcome = grover_search(range(m), rank, shots=shots, rng_seed=7)
+            assert decisions[m, rank] == outcome.decision, (m, rank)
 
 
 def test_closed_form_agreement_all_m():

@@ -2,9 +2,9 @@ import dataclasses
 
 import pytest
 
-import qiris.quantum_sim
+import qiris.search
 from qiris.hashing import build_permutation, md5_hex, pearson16, reduce, walk_chain
-from qiris.quantum_sim import grover_decision, grover_iterations
+from qiris.quantum_sim import grover_decisions, grover_iterations
 from qiris.rainbow_table import (
     BUCKET_WIDTH,
     Chain,
@@ -136,9 +136,10 @@ def test_grover_decision_accepts_every_present_key_at_default_flags():
     # with absent residues always rejected, this makes hybrid == classical at
     # the default shots and seed for every table, not only the sampled ones
     cfg = SearchConfig()
+    decisions = grover_decisions(cfg.shots, cfg.rng_seed)
     for m in range(3, BUCKET_WIDTH + 1):
         for rank in range(m):
-            assert grover_decision(m, rank, cfg.shots, cfg.rng_seed), (m, rank)
+            assert decisions[m, rank], (m, rank)
 
 
 def _one_suffix_table(word, specs, perm, end_for_hash, with_word):
@@ -162,31 +163,22 @@ def _one_suffix_table(word, specs, perm, end_for_hash, with_word):
 def test_grover_probe_is_looked_up_and_absent_residue_skips_simulation(
     perm44, specs, end_for_hash, monkeypatch
 ):
-    info = grover_decision.cache_info()
-    assert info.maxsize is not None and info.maxsize >= 136
-    calls = []
-    real = qiris.quantum_sim.grover_search
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(qiris.quantum_sim, "grover_search", counted)
-    grover_decision.cache_clear()
+    assert grover_decisions.cache_info().maxsize is not None
     table, index = _one_suffix_table("qwerty", specs, perm44, end_for_hash, True)
+    grover_decisions.cache_clear()
     for _ in range(2):
         report = crack(md5_hex("qwerty"), table, index, perm44, specs[:1])
         assert report.result == "qwerty"
         assert report.grover_invocations == 1
         assert report.grover_iterations_total == grover_iterations(3)
-    # one simulation fills the memo; the second probe reads it
-    assert len(calls) == 1
+    # the first probe builds the table; the second reads it
+    info = grover_decisions.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("an absent residue must not be simulated")
+        raise AssertionError("an absent residue must not read the decision table")
 
-    monkeypatch.setattr(qiris.quantum_sim, "grover_search", refuse)
-    grover_decision.cache_clear()
+    monkeypatch.setattr(qiris.search, "grover_decisions", refuse)
     table, index = _one_suffix_table("qwerty", specs, perm44, end_for_hash, False)
     report = crack(md5_hex("qwerty"), table, index, perm44, specs[:1])
     assert report.result is None
@@ -238,6 +230,8 @@ def test_classical_scan_counts_comparisons(table100, specs):
         {"rng_seed": 2**64},
         {"classical_threshold": 0},
         {"classical_threshold": 1},
+        # at seed 7 a 2-shot vote rejects present residues in buckets of 3..16
+        {"shots": 2},
     ],
 )
 def test_search_config_validation(kwargs):
@@ -249,3 +243,18 @@ def test_search_config_validation(kwargs):
 def test_search_config_accepts_full_seed_range():
     assert SearchConfig(rng_seed=0).rng_seed == 0
     assert SearchConfig(rng_seed=2**64 - 1).rng_seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("shots", [3, 4])
+def test_search_config_refuses_thresholds_below_a_rejected_key(shots):
+    # at seed 7 and 3 or 4 shots the vote rejects exactly one present key,
+    # rank 1 of an m = 7 bucket: thresholds that send m = 7 to Grover are
+    # refused, and those that keep it classical are sound
+    decisions = grover_decisions(shots, 7)
+    assert [key for key, accept in decisions.items() if key[0] >= 3 and not accept] == [(7, 1)]
+    message = rf"--shots {shots} with --rng-seed 7 .* rank 1 in an m = 7 bucket"
+    for threshold in range(2, 7):
+        with pytest.raises(ValueError, match=message):
+            SearchConfig(shots=shots, classical_threshold=threshold)
+    for threshold in range(7, BUCKET_WIDTH + 1):
+        assert SearchConfig(shots=shots, classical_threshold=threshold).shots == shots
