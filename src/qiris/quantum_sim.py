@@ -12,8 +12,9 @@ in O(dimension * log shots) per distribution, and memory stays bounded for
 any shot count.
 
 `grover_decisions(shots, rng_seed)` is the accept/reject bit of every
-search `crack` can ask for, keyed by (m, rank) with 1 <= m <= 16: the search
-for the rank-th smallest (from 0) of m marked states. The 136 canonical
+bucket search, keyed by (m, rank) with 1 <= m <= 16: the search for the
+rank-th smallest (from 0) of m marked states. `SearchConfig` reads it once
+to check that its vote accepts every present residue. The 136 canonical
 searches over range(m) are evolved and then counted together, every CDF
 against one pass over the shot stream. One table, for the last (shots,
 rng_seed) asked for, is kept. A search over any m marked states gives the

@@ -22,7 +22,7 @@ from .prng import MASK64
 TABLE_VERSION = 1
 BUCKET_WIDTH = 16
 
-_HEADER_RE = re.compile(r"^QIRIS v(\d+) seed=(\d+) chain=R1,R2,R3,R4$")
+_HEADER_RE = re.compile(r"^QIRIS v(\d{1,20}) seed=(\d{1,20}) chain=R1,R2,R3,R4$")
 
 # seed -> the permutation that live BucketIndex objects hold
 _live_permutations = weakref.WeakValueDictionary()

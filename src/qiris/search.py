@@ -2,17 +2,14 @@
 
 For each chain suffix the query hash is reduced to a candidate end plaintext.
 The quantum path asks the bucket index whether the candidate's 4-bit residue
-is present (classically for tiny buckets, by simulated Grover search
-otherwise) and only then looks up the rows ending in the candidate's hash in
+is present and only then looks up the rows ending in the candidate's hash in
 the sorted end-hash index; the classical baseline scans every stored chain
-end instead. A Grover probe's outcome depends only on the bucket size m, the
-residue's rank in the ascending bucket, the shot count and the seed, so it
-is read from `grover_decisions(shots, rng_seed)`, one table of every
-(m, rank); an absent residue never receives a shot and is rejected without
-reading it. Any hit is verified by rebuilding the chain and comparing MD5
-digests, so both paths only ever return true preimages. A `SearchConfig`
-whose shot count and seed would reject a present residue in some bucket it
-sends to Grover is refused, so the two paths agree for every accepted one.
+end instead. Any hit is verified by rebuilding the chain and comparing MD5
+digests, so both paths only ever return true preimages. The simulated Grover
+vote is checked once per config: `SearchConfig` refuses one whose vote
+rejects a present residue in a bucket it sends to Grover. An absent residue
+never receives a shot, so for an accepted config the vote is membership, and
+`crack` decides every probe by `residue in bucket`.
 """
 
 import hashlib
@@ -33,7 +30,12 @@ from .rainbow_table import BUCKET_WIDTH, BucketIndex, RainbowTable
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the hybrid crack; the CLI reads its defaults from here."""
+    """Knobs for the hybrid crack; the CLI reads its defaults from here.
+
+    `shots` and `rng_seed` only decide whether a config is accepted: their
+    Grover vote must accept every present residue in every bucket larger
+    than `classical_threshold`, the buckets that count as Grover probes.
+    """
 
     shots: int = DEFAULT_SHOTS
     classical_threshold: int = 2
@@ -108,9 +110,8 @@ def crack(
     plaintext match and then rebuilt, so 16-bit hash collisions cannot cause
     false positives or mask recoverable entries. Each suffix increments
     exactly one of bucket_misses, classical_fallbacks, grover_invocations.
-    A Grover probe's decision is read from `grover_decisions(shots,
-    rng_seed)` at (m, rank); a residue absent from its bucket is rejected
-    without reading it, since its amplitude would stay exactly 0.
+    Every probe is decided by `residue in bucket`: `cfg` was accepted only
+    because its Grover vote agrees with membership (see `SearchConfig`).
     """
     query = normalize_digest(hash_hex)
     raw = bytes.fromhex(query)
@@ -130,16 +131,12 @@ def crack(
             report.bucket_misses += 1
             continue
         m = len(bucket)
-        present = residue in bucket
         if m <= cfg.classical_threshold:
             report.classical_fallbacks += 1
         else:
             report.grover_invocations += 1
             report.grover_iterations_total += grover_iterations(m)
-            present = present and grover_decisions(cfg.shots, cfg.rng_seed)[
-                m, bucket.index(residue)
-            ]
-        if not present:
+        if residue not in bucket:
             continue
         for row in buckets.rows_for(h):
             if table.chains[row].end != text:

@@ -298,6 +298,20 @@ def test_crack_rejects_oversized_table_seed(tmp_path, capsys):
     assert "does not match" not in err
 
 
+@pytest.mark.parametrize(
+    "header",
+    ["QIRIS v1 seed=" + "9" * 5000, "QIRIS v" + "9" * 5000 + " seed=44"],
+    ids=["seed", "version"],
+)
+def test_crack_names_line_1_for_an_overlong_header_number(tmp_path, capsys, header):
+    # a digit run past Python's int conversion limit must not reach int()
+    bad = tmp_path / "long-header.txt"
+    bad.write_text(header + " chain=R1,R2,R3,R4\npassword\txk9\n", encoding="ascii")
+    code = run_cli(["crack", "--table", str(bad), md5_hex("password")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: line 1:")
+
+
 def test_crack_missing_table(tmp_path):
     code = run_cli(["crack", "--table", str(tmp_path / "nope.txt"), md5_hex("a")])
     assert code == 2

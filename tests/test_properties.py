@@ -7,7 +7,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from qiris.hashing import (
@@ -132,7 +132,11 @@ def test_index_lookup_matches_scan(end_for_hash, reachable_hashes, data, probes)
     reachable = reachable_hashes
     edges = st.sampled_from([reachable[0], reachable[1], reachable[-2], reachable[-1]])
     hashes = data.draw(
-        st.lists(st.one_of(st.sampled_from(reachable), edges), min_size=1, max_size=60)
+        st.lists(
+            st.one_of(st.integers(0, len(reachable) - 1).map(reachable.__getitem__), edges),
+            min_size=1,
+            max_size=60,
+        )
     )
     chains = [Chain(start=f"w{i}", end=end_for_hash[h]) for i, h in enumerate(hashes)]
     index = build_buckets(RainbowTable(chains=chains, perm_seed=44))
@@ -184,6 +188,35 @@ def test_crack_agrees_with_classical(
         assert paths == report.chains_examined
         if cfg.classical_threshold == BUCKET_WIDTH:
             assert report.grover_invocations == 0
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(st.integers(1, 16), st.just(1024)),
+    st.integers(0, 2**64 - 1),
+    st.integers(2, BUCKET_WIDTH),
+)
+# at seed 7, 2 shots reject 54 present keys and 3 shots only (7, 1)
+@example(shots=2, seed=7, threshold=2)
+@example(shots=3, seed=7, threshold=6)
+def test_search_config_accepts_exactly_when_the_vote_accepts_every_grover_key(
+    shots, seed, threshold
+):
+    # crack decides every probe by membership, which matches the vote only
+    # because a config whose vote rejects a present residue above its
+    # threshold is refused
+    rejected = [
+        key
+        for key, accept in grover_decisions(shots, seed).items()
+        if key[0] > threshold and not accept
+    ]
+    try:
+        SearchConfig(shots=shots, classical_threshold=threshold, rng_seed=seed)
+    except ValueError as exc:
+        m, rank = min(rejected)
+        assert f"rank {rank} in an m = {m} bucket" in str(exc)
+    else:
+        assert not rejected
 
 
 @settings(max_examples=200, deadline=None)

@@ -14,6 +14,7 @@ from qiris.rainbow_table import (
 )
 from qiris.search import (
     SearchConfig,
+    SearchReport,
     crack,
     crack_classical,
     crack_classical_scan,
@@ -160,30 +161,31 @@ def _one_suffix_table(word, specs, perm, end_for_hash, with_word):
     return table, index
 
 
-def test_grover_probe_is_looked_up_and_absent_residue_skips_simulation(
-    perm44, specs, end_for_hash, monkeypatch
+def test_crack_decides_by_membership_without_reading_the_vote(
+    table100, buckets100, perm44, specs, words100, end_for_hash, monkeypatch
 ):
-    assert grover_decisions.cache_info().maxsize is not None
-    table, index = _one_suffix_table("qwerty", specs, perm44, end_for_hash, True)
-    grover_decisions.cache_clear()
-    for _ in range(2):
-        report = crack(md5_hex("qwerty"), table, index, perm44, specs[:1])
-        assert report.result == "qwerty"
-        assert report.grover_invocations == 1
-        assert report.grover_iterations_total == grover_iterations(3)
-    # the first probe builds the table; the second reads it
-    info = grover_decisions.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    # the vote is checked once, when the config is built; no probe reads it
+    cfg = SearchConfig()
 
     def refuse(*args, **kwargs):
-        raise AssertionError("an absent residue must not read the decision table")
+        raise AssertionError("crack must not read the decision table")
 
     monkeypatch.setattr(qiris.search, "grover_decisions", refuse)
-    table, index = _one_suffix_table("qwerty", specs, perm44, end_for_hash, False)
-    report = crack(md5_hex("qwerty"), table, index, perm44, specs[:1])
-    assert report.result is None
-    assert report.grover_invocations == 1
-    assert report.grover_iterations_total == grover_iterations(3)
+    for word in words100[94:]:
+        report = crack(md5_hex(word), table100, buckets100, perm44, specs, cfg)
+        assert report == SearchReport(
+            result=word,
+            chains_examined=4,
+            grover_invocations=1,
+            grover_iterations_total=grover_iterations(6),
+            bucket_misses=3,
+        )
+    for with_word, result in [(True, "qwerty"), (False, None)]:
+        table, index = _one_suffix_table("qwerty", specs, perm44, end_for_hash, with_word)
+        report = crack(md5_hex("qwerty"), table, index, perm44, specs[:1], cfg)
+        assert report.result == result
+        assert report.grover_invocations == 1
+        assert report.grover_iterations_total == grover_iterations(3)
 
 
 def test_crack_rejects_seed_mismatch(table100, buckets100, specs):
