@@ -6,25 +6,22 @@ construction) and --rng-seed (measurement sampling).
 """
 
 import argparse
+import dataclasses
 import sys
 
-from .hashing import (
-    DEFAULT_PERM_SEED,
-    build_permutation,
-    canonical_reduction_specs,
-    normalize_digest,
-)
+from .hashing import DEFAULT_PERM_SEED, canonical_reduction_specs, normalize_digest
 from .prng import MASK64
 from .rainbow_table import (
     BUCKET_WIDTH,
     _check_plaintext,
+    _permutation,
     _read_lines,
     build_buckets,
     generate_table,
     load_table,
     save_table,
 )
-from .search import SearchConfig, crack, crack_classical_scan
+from .search import SearchConfig, SearchReport, crack, crack_classical_scan
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 1
@@ -35,13 +32,7 @@ COMPARE_CSV_HEADER = (
     "grover_invocations,grover_iterations_total,classical_scan_length"
 )
 
-_REPORT_FIELDS = (
-    "chains_examined",
-    "grover_invocations",
-    "grover_iterations_total",
-    "classical_fallbacks",
-    "bucket_misses",
-)
+_REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(SearchReport) if f.name != "result")
 
 
 def _read_wordlist(path):
@@ -50,8 +41,6 @@ def _read_wordlist(path):
         if line:
             _check_plaintext(line, f"wordlist line {lineno}")
             words.append(line)
-    if not words:
-        raise ValueError("wordlist is empty")
     return words
 
 
@@ -69,8 +58,7 @@ def _read_hashes(path):
 
 def _load_search_context(table_path):
     table = load_table(table_path)
-    index = build_buckets(table)
-    return table, index, index.perm
+    return table, build_buckets(table)
 
 
 def _search_config(args) -> SearchConfig:
@@ -85,7 +73,7 @@ def cmd_generate(args) -> int:
     if not 0 <= args.perm_seed <= MASK64:
         raise ValueError(f"--perm-seed must be in 0..{MASK64}, got {args.perm_seed}")
     words = _read_wordlist(args.wordlist)
-    perm = build_permutation(args.perm_seed)
+    perm = _permutation(args.perm_seed)
     table = generate_table(words, canonical_reduction_specs(), perm)
     save_table(table, args.out)
     print(f"chains={len(table.chains)}")
@@ -96,8 +84,8 @@ def cmd_generate(args) -> int:
 def cmd_crack(args) -> int:
     digest = normalize_digest(args.hash)
     cfg = _search_config(args)
-    table, buckets, perm = _load_search_context(args.table)
-    report = crack(digest, table, buckets, perm, canonical_reduction_specs(), cfg)
+    table, index = _load_search_context(args.table)
+    report = crack(digest, table, index, index.perm, canonical_reduction_specs(), cfg)
     if report.result is not None:
         print(report.result)
     if args.report:
@@ -112,12 +100,12 @@ def cmd_crack(args) -> int:
 def cmd_compare(args) -> int:
     digests = _read_hashes(args.hashes)
     cfg = _search_config(args)
-    table, buckets, perm = _load_search_context(args.table)
+    table, index = _load_search_context(args.table)
     specs = canonical_reduction_specs()
     print(COMPARE_CSV_HEADER)
     all_agree = True
     for digest in digests:
-        report = crack(digest, table, buckets, perm, specs, cfg)
+        report = crack(digest, table, index, index.perm, specs, cfg)
         classical, scanned = crack_classical_scan(digest, table, specs)
         agree = report.result == classical
         all_agree = all_agree and agree

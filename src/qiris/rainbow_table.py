@@ -9,10 +9,10 @@ hashes sorted, so the rows ending in a given hash are found by binary search.
 
 import hashlib
 import re
-import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,9 +23,6 @@ TABLE_VERSION = 1
 BUCKET_WIDTH = 16
 
 _HEADER_RE = re.compile(r"^QIRIS v(\d{1,20}) seed=(\d{1,20}) chain=R1,R2,R3,R4$")
-
-# seed -> the permutation that live BucketIndex objects hold
-_live_permutations = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,19 +119,22 @@ def _read_lines(path, label: str) -> list:
     return text.split("\n")
 
 
+@lru_cache(maxsize=1)
+def _permutation(seed: int) -> PearsonPermutation:
+    """The permutation for `seed`, built once while it is the last seed asked for."""
+    return build_permutation(seed)
+
+
 def build_buckets(table: RainbowTable) -> BucketIndex:
     """Hash every chain end and index the hashes; the one place ends are hashed.
 
     The ends are hashed with the permutation for the table's seed, and each
     distinct end hash h becomes residue h % 16 under bucket key h // 16.
     Only non-empty buckets exist. The sorted index costs 6 bytes per row.
-    Indexes over one seed share one permutation object while any of them is
-    alive, so a process holding many tables keeps one 65,535-entry table.
+    The permutation comes from a one-entry memo, so indexes built one after
+    another over one seed share one permutation object and one build.
     """
-    perm = build_permutation(table.perm_seed)
-    # built before the lookup: a cached build made perfbench's one-round
-    # smoke sessions shorter than its 10 ms sampling interval (ROADMAP item 1)
-    perm = _live_permutations.setdefault(perm.seed, perm)
+    perm = _permutation(table.perm_seed)
     hashes = np.fromiter((pearson16(chain.end, perm) for chain in table.chains), np.uint16)
     buckets = {}
     for h in np.unique(hashes).tolist():
@@ -178,7 +178,8 @@ def load_table(path) -> RainbowTable:
         raise ValueError("line 1: missing table header")
     header = _HEADER_RE.match(lines[0])
     if header is None:
-        raise ValueError(f"line 1: malformed table header: {lines[0]!r}")
+        more = "..." if len(lines[0]) > 80 else ""  # echo a bounded prefix of the line
+        raise ValueError(f"line 1: malformed table header: {lines[0][:80]!r}{more}")
     version = int(header.group(1))
     if version != TABLE_VERSION:
         raise ValueError(f"line 1: unsupported table version v{version}")

@@ -2,6 +2,7 @@ import sys
 
 import pytest
 
+from qiris import rainbow_table
 from qiris.cli import COMPARE_CSV_HEADER, main
 from qiris.hashing import build_permutation, md5_hex
 
@@ -79,9 +80,11 @@ def test_generate_missing_wordlist(tmp_path, capsys):
 def test_generate_empty_wordlist(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("\n\n", encoding="ascii")
-    code = run_cli(["generate", "--wordlist", str(empty), "--out", str(tmp_path / "t.txt")])
+    out = tmp_path / "t.txt"
+    code = run_cli(["generate", "--wordlist", str(empty), "--out", str(out)])
     assert code == 2
-    assert "empty" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: wordlist is empty\n"
+    assert not out.exists()
 
 
 def test_generate_names_offending_line(tmp_path, capsys):
@@ -185,7 +188,7 @@ def test_generate_accepts_largest_perm_seed(workspace, tmp_path):
     assert out.read_text(encoding="ascii").startswith(f"QIRIS v1 seed={2**64 - 1} ")
 
 
-@pytest.mark.parametrize("command", ["crack", "compare"])
+@pytest.mark.parametrize("command", ["generate", "crack", "compare"])
 def test_table_open_builds_one_permutation(workspace, tmp_path, monkeypatch, command):
     hashes = tmp_path / "hashes.txt"
     hashes.write_text(md5_hex("qwerty") + "\n", encoding="ascii")
@@ -199,8 +202,14 @@ def test_table_open_builds_one_permutation(workspace, tmp_path, monkeypatch, com
         bound = getattr(module, "build_permutation", None)
         if name.split(".")[0] == "qiris" and bound is build_permutation:
             monkeypatch.setattr(module, "build_permutation", counting)
-    query = [md5_hex("qwerty")] if command == "crack" else ["--hashes", str(hashes)]
-    assert run_cli([command, "--table", str(workspace["table"]), *query]) == 0
+    rainbow_table._permutation.cache_clear()
+    if command == "generate":
+        argv = ["--wordlist", str(workspace["wordlist"]), "--out", str(tmp_path / "t.txt")]
+    elif command == "crack":
+        argv = ["--table", str(workspace["table"]), md5_hex("qwerty")]
+    else:
+        argv = ["--table", str(workspace["table"]), "--hashes", str(hashes)]
+    assert run_cli([command, *argv]) == 0
     assert seeds == [44]
 
 
@@ -300,16 +309,23 @@ def test_crack_rejects_oversized_table_seed(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "header",
-    ["QIRIS v1 seed=" + "9" * 5000, "QIRIS v" + "9" * 5000 + " seed=44"],
-    ids=["seed", "version"],
+    [
+        "QIRIS v1 seed=" + "9" * 5000,
+        "QIRIS v" + "9" * 5000 + " seed=44",
+        "QIRIS v1 seed=" + "9" * 2**20,
+    ],
+    ids=["seed", "version", "megabyte"],
 )
 def test_crack_names_line_1_for_an_overlong_header_number(tmp_path, capsys, header):
-    # a digit run past Python's int conversion limit must not reach int()
+    # a digit run past Python's int conversion limit must not reach int(),
+    # and the error echoes only a bounded prefix of the line
     bad = tmp_path / "long-header.txt"
     bad.write_text(header + " chain=R1,R2,R3,R4\npassword\txk9\n", encoding="ascii")
     code = run_cli(["crack", "--table", str(bad), md5_hex("password")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: line 1:")
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: malformed table header")
+    assert len(err) < 300
 
 
 def test_crack_missing_table(tmp_path):

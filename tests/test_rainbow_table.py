@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from qiris import rainbow_table
 from qiris.hashing import build_permutation, md5_hex, pearson16
 from qiris.rainbow_table import (
     BUCKET_WIDTH,
@@ -85,6 +86,20 @@ def test_buckets_share_one_permutation(end_for_hash, perm44):
     b = build_buckets(_table(end_for_hash, [5, 5]))
     assert a.perm is b.perm
     assert a.perm.table == perm44.table
+
+
+def test_build_buckets_builds_one_permutation_per_seed(end_for_hash, monkeypatch):
+    seeds = []
+
+    def counting(seed):
+        seeds.append(seed)
+        return build_permutation(seed)
+
+    monkeypatch.setattr(rainbow_table, "build_permutation", counting)
+    rainbow_table._permutation.cache_clear()
+    build_buckets(_table(end_for_hash, [37]))
+    build_buckets(_table(end_for_hash, [5, 5]))
+    assert seeds == [44]
 
 
 def test_bucket_ranges_and_nonempty(buckets100):
