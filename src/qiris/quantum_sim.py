@@ -30,8 +30,11 @@ from types import MappingProxyType
 import numpy as np
 
 from .prng import GAMMA, MASK64, unit_floats
+from .rainbow_table import BUCKET_WIDTH
 
-DEFAULT_DIMENSION = 16
+# one basis state per residue of a bucket, so grover_decisions covers every
+# bucket size that SearchConfig and the crack path can meet
+DEFAULT_DIMENSION = BUCKET_WIDTH
 DEFAULT_SHOTS = 1024
 
 # The shot stream is drawn and sorted in chunks of at most this many samples
@@ -185,7 +188,7 @@ def grover_search(
 def grover_decisions(shots: int, rng_seed: int) -> MappingProxyType:
     """Decision of every search for the rank-th smallest (from 0) of m marked states.
 
-    Maps each (m, rank) with 1 <= m <= 16 to
+    Maps each (m, rank) with 1 <= m <= DEFAULT_DIMENSION to
     `grover_search(marked, sorted(marked)[rank], ...).decision`, which is the
     same for any m distinct marked states: unmarked amplitudes are exactly 0
     throughout, the other marked amplitudes stay equal, and the CDF meets

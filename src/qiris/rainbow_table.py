@@ -65,17 +65,16 @@ class BucketIndex:
 def generate_table(wordlist, specs, perm: PearsonPermutation) -> RainbowTable:
     """Build one chain per word by alternating MD5 and the reduction functions.
 
-    Words must be non-empty ASCII without whitespace; duplicates are allowed
-    and produce duplicate chains. Input order is preserved. With no specs a
-    chain ends at its start word. `perm` fixes the table's seed; the ends
-    are hashed by build_buckets.
+    Pure computation: any non-empty list of strings is walked, duplicates
+    included, in input order. With no specs a chain ends at its start word.
+    `perm` fixes the table's seed; the ends are hashed by build_buckets. The
+    file format's row rule is checked by save_table.
     """
     words = list(wordlist)
     if not words:
         raise ValueError("wordlist is empty")
     chains = []
-    for pos, word in enumerate(words, start=1):
-        _check_plaintext(word, f"wordlist entry {pos}")
+    for word in words:
         end = walk_chain(hashlib.md5(word.encode()).digest(), specs) if specs else word
         chains.append(Chain(start=word, end=end))
     return RainbowTable(chains=chains, perm_seed=perm.seed)
@@ -96,10 +95,12 @@ def _check_plaintext(text: str, where: str) -> None:
     raise ValueError(f"{where}: start plaintext contains whitespace")
 
 
-def _is_chain_end(text: str) -> bool:
-    """True for the 3 base62 characters that end a canonical chain."""
+def _check_row(start: str, end: str, where: str) -> None:
+    """The file format's row rule: a plaintext start and a 3-base62 chain end."""
+    _check_plaintext(start, where)
     # on ASCII text, isalnum() accepts exactly the base62 alphabet
-    return len(text) == 3 and text.isascii() and text.isalnum()
+    if not (len(end) == 3 and end.isascii() and end.isalnum()):
+        raise ValueError(f"{where}: end must be 3 base62 characters")
 
 
 def _read_lines(path, label: str) -> list:
@@ -151,15 +152,16 @@ def build_buckets(table: RainbowTable) -> BucketIndex:
 def save_table(table: RainbowTable, path) -> None:
     """Write the table as ASCII text: a header line, then `start<TAB>end` rows.
 
-    The v1 format only round-trips tables built with the canonical four-spec
-    chain, so ends that are not 3 base62 characters are rejected up front.
+    Refuses, before `path` is opened, every table that load_table would:
+    no chains, a seed outside 0..2^64-1, or a row that breaks _check_row.
+    So a save that returns is one load_table reads back as an equal table.
     """
-    for chain in table.chains:
-        if not _is_chain_end(chain.end):
-            raise ValueError(
-                f"chain end {chain.end!r} is not 3 base62 characters; "
-                "only canonical-chain tables can be saved"
-            )
+    if not table.chains:
+        raise ValueError("table has no chains")
+    if not 0 <= table.perm_seed <= MASK64:
+        raise ValueError(f"permutation seed {table.perm_seed} is outside 0..{MASK64}")
+    for pos, chain in enumerate(table.chains):
+        _check_row(chain.start, chain.end, f"table.chains[{pos}]")
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(f"QIRIS v{TABLE_VERSION} seed={table.perm_seed} chain=R1,R2,R3,R4\n")
         for chain in table.chains:
@@ -196,9 +198,7 @@ def load_table(path) -> RainbowTable:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected exactly one tab separator")
         start, end = parts
-        _check_plaintext(start, f"line {lineno}")
-        if not _is_chain_end(end):
-            raise ValueError(f"line {lineno}: end must be 3 base62 characters")
+        _check_row(start, end, f"line {lineno}")
         chains.append(Chain(start=start, end=end))
     if not chains:
         raise ValueError("table has no chains")

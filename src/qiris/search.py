@@ -27,6 +27,9 @@ from .prng import MASK64
 from .quantum_sim import DEFAULT_SHOTS, grover_decisions, grover_iterations
 from .rainbow_table import BUCKET_WIDTH, BucketIndex, RainbowTable
 
+# the decision table is built in time linear in shots: about 0.5 s at 2^24
+MAX_SHOTS = 1 << 24
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -42,8 +45,8 @@ class SearchConfig:
     rng_seed: int = 7
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError(f"shots (--shots) must be at least 1, got {self.shots}")
+        if not 1 <= self.shots <= MAX_SHOTS:
+            raise ValueError(f"shots (--shots) must be in 1..{MAX_SHOTS}, got {self.shots}")
         if not 2 <= self.classical_threshold <= BUCKET_WIDTH:
             raise ValueError(
                 "classical_threshold (--classical-threshold) must be in "
@@ -112,12 +115,18 @@ def crack(
     exactly one of bucket_misses, classical_fallbacks, grover_invocations.
     Every probe is decided by `residue in bucket`: `cfg` was accepted only
     because its Grover vote agrees with membership (see `SearchConfig`).
+    An index whose row count or seed differs from the table's is refused.
     """
     query = normalize_digest(hash_hex)
     raw = bytes.fromhex(query)
     if perm.seed != table.perm_seed:
         raise ValueError(
             f"permutation seed {perm.seed} does not match table seed {table.perm_seed}"
+        )
+    if len(buckets.rows) != len(table.chains) or buckets.perm.seed != table.perm_seed:
+        raise ValueError(
+            f"index over {len(buckets.rows)} rows with seed {buckets.perm.seed} was not "
+            f"built from this table ({len(table.chains)} rows, seed {table.perm_seed})"
         )
     report = SearchReport()
     n = len(specs)

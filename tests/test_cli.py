@@ -140,6 +140,7 @@ def test_rejects_out_of_range_rng_seed(workspace, tmp_path, capsys, command, see
     "flag,value",
     [
         ("--shots", "0"),
+        ("--shots", str(2**24 + 1)),
         ("--classical-threshold", "99"),
         ("--classical-threshold", "-1"),
         ("--classical-threshold", "1"),

@@ -11,6 +11,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from qiris.hashing import (
+    BASE62_ALPHABET,
     PERMUTATION_SIZE,
     ReductionSpec,
     build_permutation,
@@ -95,6 +96,40 @@ def test_save_load_round_trip(specs, words, seed):
         loaded = load_table(path)
     assert loaded.chains == table.chains
     assert loaded.perm_seed == seed
+
+
+LATIN1_TEXT = st.text(st.characters(max_codepoint=255), max_size=6)
+BASE62_ENDS = st.text(BASE62_ALPHABET, min_size=3, max_size=3)
+# half the rows fit the file format; the rest are drawn from the edges of
+# its rule and from any latin-1 text
+ROWS = st.one_of(
+    st.builds(Chain, start=ASCII_WORDS, end=BASE62_ENDS),
+    st.builds(
+        Chain,
+        start=st.one_of(
+            st.sampled_from(["", " ", "\t", "\n", "é", "a b", "a\tb", "a\nb"]), LATIN1_TEXT
+        ),
+        end=st.one_of(BASE62_ENDS, LATIN1_TEXT),
+    ),
+)
+SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([-2, -1, 2**64, 2**64 + 1]))
+TABLES = st.builds(RainbowTable, chains=st.lists(ROWS, max_size=4), perm_seed=SEEDS)
+
+
+@settings(deadline=None)
+@given(TABLES)
+def test_save_table_succeeds_exactly_when_load_returns_the_table(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.txt")
+        with open(path, "wb") as fh:
+            fh.write(b"old bytes")
+        try:
+            save_table(table, path)
+        except ValueError:
+            with open(path, "rb") as fh:
+                assert fh.read() == b"old bytes"
+            return
+        assert load_table(path) == table
 
 
 def _mutate(data, edits):

@@ -50,19 +50,29 @@ def test_generate_keeps_duplicates(perm44, specs):
     assert index.rows_for(index.hashes[0]) == [0, 1]
 
 
-@pytest.mark.parametrize(
-    "words,fragment",
-    [
-        ([], "empty"),
-        (["ok", ""], "entry 2"),
-        (["has space"], "entry 1"),
-        (["tab\tbed"], "entry 1"),
-        (["café"], "entry 1"),
-    ],
-)
+@pytest.mark.parametrize("words,fragment", [([], "empty")])
 def test_generate_rejects_bad_wordlists(words, fragment, perm44, specs):
     with pytest.raises(ValueError, match=fragment):
         generate_table(words, specs, perm44)
+
+
+@pytest.mark.parametrize(
+    "words,fragment",
+    [
+        (["ok", ""], r"chains\[1\]: empty start"),
+        (["has space"], r"chains\[0\]: .* whitespace"),
+        (["tab\tbed"], r"chains\[0\]: .* whitespace"),
+        (["café"], r"chains\[0\]: .* not ASCII"),
+    ],
+    ids=["empty", "space", "tab", "non-ascii"],
+)
+def test_save_rejects_bad_starts(words, fragment, perm44, specs, tmp_path):
+    # generate_table walks any string; the file's row rule is save_table's
+    table = generate_table(words, specs, perm44)
+    path = tmp_path / "bad.txt"
+    with pytest.raises(ValueError, match=fragment):
+        save_table(table, path)
+    assert not path.exists()
 
 
 def test_buckets_single_value(end_for_hash):
@@ -217,6 +227,25 @@ def test_save_rejects_non_canonical_ends(tmp_path):
     table = RainbowTable(chains=[Chain(start="word", end="ab")], perm_seed=44)
     with pytest.raises(ValueError, match="base62"):
         save_table(table, tmp_path / "bad.txt")
+
+
+@pytest.mark.parametrize(
+    "chains,seed,fragment",
+    [
+        ([], 44, "no chains"),
+        ([Chain(start="word", end="abc")], -1, "seed -1"),
+        ([Chain(start="word", end="abc")], 2**64, "seed 18446744073709551616"),
+        ([Chain(start="word", end="abc"), Chain(start="é", end="abc")], 44, r"\[1\]: .* ASCII"),
+    ],
+    ids=["empty", "negative-seed", "wide-seed", "late-bad-row"],
+)
+def test_save_refuses_before_opening(chains, seed, fragment, tmp_path):
+    # a refused save leaves an existing file as it was
+    path = tmp_path / "table.txt"
+    path.write_bytes(b"old bytes")
+    with pytest.raises(ValueError, match=fragment):
+        save_table(RainbowTable(chains=chains, perm_seed=seed), path)
+    assert path.read_bytes() == b"old bytes"
 
 
 def test_loaded_end_hashes_recomputed(perm44, specs, tmp_path):

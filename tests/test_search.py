@@ -13,6 +13,7 @@ from qiris.rainbow_table import (
     generate_table,
 )
 from qiris.search import (
+    MAX_SHOTS,
     SearchConfig,
     SearchReport,
     crack,
@@ -194,6 +195,17 @@ def test_crack_rejects_seed_mismatch(table100, buckets100, specs):
         crack(md5_hex("password"), table100, buckets100, other_perm, specs)
 
 
+def test_crack_rejects_an_index_of_another_table(table100, buckets100, perm44, specs):
+    # without the check, the 100-row index sends crack to rows the table lacks
+    table = generate_table([table100.chains[50].start], specs, perm44)
+    with pytest.raises(ValueError, match="not built from this table"):
+        crack(md5_hex(table.chains[0].start), table, buckets100, perm44, specs)
+    # same row count, other seed
+    other = build_buckets(generate_table(["x"], specs, build_permutation(45)))
+    with pytest.raises(ValueError, match="seed 45 was not built from this table"):
+        crack(md5_hex(table.chains[0].start), table, other, perm44, specs)
+
+
 def test_crack_rejects_malformed_hash(table100, buckets100, perm44, specs):
     with pytest.raises(ValueError):
         crack("zzzz", table100, buckets100, perm44, specs)
@@ -234,12 +246,19 @@ def test_classical_scan_counts_comparisons(table100, specs):
         {"classical_threshold": 1},
         # at seed 7 a 2-shot vote rejects present residues in buckets of 3..16
         {"shots": 2},
+        {"shots": MAX_SHOTS + 1},
     ],
 )
 def test_search_config_validation(kwargs):
     (field,) = kwargs
     with pytest.raises(ValueError, match="--" + field.replace("_", "-")):
         SearchConfig(**kwargs)
+
+
+def test_search_config_accepts_shots_up_to_the_cap():
+    # threshold 16 builds no decision table, so the cap itself is cheap to accept
+    assert MAX_SHOTS == 2**24
+    assert SearchConfig(shots=MAX_SHOTS, classical_threshold=BUCKET_WIDTH).shots == MAX_SHOTS
 
 
 def test_search_config_accepts_full_seed_range():
