@@ -73,11 +73,11 @@ def cmd_generate(args) -> int:
     if not 0 <= args.perm_seed <= MASK64:
         raise ValueError(f"--perm-seed must be in 0..{MASK64}, got {args.perm_seed}")
     words = _read_wordlist(args.wordlist)
-    perm = _permutation(args.perm_seed)
+    perm, _ = _permutation(args.perm_seed)
     table = generate_table(words, canonical_reduction_specs(), perm)
     save_table(table, args.out)
-    print(f"chains={len(table.chains)}")
-    print(f"buckets={len(build_buckets(table).buckets)}")
+    print(f"chains={len(table.starts)}")
+    print(f"buckets={sum(1 for m in build_buckets(table).counts if m)}")
     return EXIT_OK
 
 

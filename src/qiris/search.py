@@ -1,15 +1,16 @@
 """Hybrid crack procedure and its classical baseline.
 
 For each chain suffix the query hash is reduced to a candidate end plaintext.
-The quantum path asks the bucket index whether the candidate's 4-bit residue
-is present and only then looks up the rows ending in the candidate's hash in
-the sorted end-hash index; the classical baseline scans every stored chain
-end instead. Any hit is verified by rebuilding the chain and comparing MD5
-digests, so both paths only ever return true preimages. The simulated Grover
-vote is checked once per config: `SearchConfig` refuses one whose vote
-rejects a present residue in a bucket it sends to Grover. An absent residue
-never receives a shot, so for an accepted config the vote is membership, and
-`crack` decides every probe by `residue in bucket`.
+The quantum path reads the size of the candidate's bucket to pick the probe
+and whether the candidate's 4-bit residue is present, and only then looks up
+the rows ending in the candidate's hash in the sorted end-hash index; the
+classical baseline scans the whole column of chain ends instead. Any hit is verified
+by rebuilding the chain and comparing MD5 digests, so both paths only ever
+return true preimages. The simulated Grover vote is checked once per config:
+`SearchConfig` refuses one whose vote rejects a present residue in a bucket
+it sends to Grover. An absent residue never receives a shot, so for an
+accepted config the vote is membership, and `crack` decides every probe by
+whether the residue is present.
 """
 
 import hashlib
@@ -113,8 +114,9 @@ def crack(
     plaintext match and then rebuilt, so 16-bit hash collisions cannot cause
     false positives or mask recoverable entries. Each suffix increments
     exactly one of bucket_misses, classical_fallbacks, grover_invocations.
-    Every probe is decided by `residue in bucket`: `cfg` was accepted only
-    because its Grover vote agrees with membership (see `SearchConfig`).
+    Every probe is decided by membership, whether any row ends in the
+    candidate's hash (`buckets.present`): `cfg` was accepted only because
+    its Grover vote agrees with membership (see `SearchConfig`).
     An index whose row count or seed differs from the table's is refused.
     """
     query = normalize_digest(hash_hex)
@@ -123,10 +125,10 @@ def crack(
         raise ValueError(
             f"permutation seed {perm.seed} does not match table seed {table.perm_seed}"
         )
-    if len(buckets.rows) != len(table.chains) or buckets.perm.seed != table.perm_seed:
+    if len(buckets.rows) != len(table.ends) or buckets.perm.seed != table.perm_seed:
         raise ValueError(
             f"index over {len(buckets.rows)} rows with seed {buckets.perm.seed} was not "
-            f"built from this table ({len(table.chains)} rows, seed {table.perm_seed})"
+            f"built from this table ({len(table.ends)} rows, seed {table.perm_seed})"
         )
     report = SearchReport()
     n = len(specs)
@@ -134,25 +136,21 @@ def crack(
         report.chains_examined = i
         text = walk_chain(raw, specs[n - i:])
         h = pearson16(text, perm)
-        key, residue = divmod(h, BUCKET_WIDTH)
-        bucket = buckets.buckets.get(key)
-        if bucket is None:
+        m = buckets.counts[h // BUCKET_WIDTH]
+        if m == 0:
             report.bucket_misses += 1
             continue
-        m = len(bucket)
         if m <= cfg.classical_threshold:
             report.classical_fallbacks += 1
         else:
             report.grover_invocations += 1
             report.grover_iterations_total += grover_iterations(m)
-        if residue not in bucket:
+        if not buckets.present[h]:
             continue
         for row in buckets.rows_for(h):
-            if table.chains[row].end != text:
+            if table.ends[row] != text:
                 continue
-            candidate, candidate_hash = rebuild_chain(
-                table.chains[row].start, specs[: n - i]
-            )
+            candidate, candidate_hash = rebuild_chain(table.starts[row], specs[: n - i])
             if candidate_hash == query:
                 report.result = candidate
                 return report
@@ -170,14 +168,19 @@ def crack_classical_scan(hash_hex: str, table: RainbowTable, specs) -> tuple:
     query = normalize_digest(hash_hex)
     raw = bytes.fromhex(query)
     n = len(specs)
+    ends = table.ends
     scanned = 0
     for i in range(1, n + 1):
         text = walk_chain(raw, specs[n - i:])
-        for chain in table.chains:
-            scanned += 1
-            if chain.end != text:
-                continue
-            candidate, candidate_hash = rebuild_chain(chain.start, specs[: n - i])
+        # a pass compares the rows up to the verified match, or every row
+        row = -1
+        while True:
+            try:
+                row = ends.index(text, row + 1)
+            except ValueError:
+                scanned += len(ends)
+                break
+            candidate, candidate_hash = rebuild_chain(table.starts[row], specs[: n - i])
             if candidate_hash == query:
-                return candidate, scanned
+                return candidate, scanned + row + 1
     return None, scanned

@@ -1,10 +1,13 @@
+import hashlib
+import random
 import sys
 
 import pytest
 
 from qiris import rainbow_table
 from qiris.cli import COMPARE_CSV_HEADER, main
-from qiris.hashing import build_permutation, md5_hex
+from qiris.hashing import BASE62_ALPHABET, build_permutation, md5_hex
+from qiris.search import rebuild_chain
 
 HEADER = b"QIRIS v1 seed=44 chain=R1,R2,R3,R4"
 
@@ -451,3 +454,45 @@ def test_usage_errors_exit_2():
     assert run_cli([]) == 2
     assert run_cli(["frobnicate"]) == 2
     assert run_cli(["crack", md5_hex("a")]) == 2  # missing --table
+
+
+# sha256 of the table file `generate` writes from a seeded 20,000-word list,
+# of the stdout of 40 `crack --report` calls on it (hits and misses in turn)
+# and of one `compare` CSV over the same 40 digests, taken from the
+# row-object table; every stage of a table open must keep these bytes
+WORDS20K_SHA256 = {
+    "table": "3ec94c442c4c8e9653f5c1086fe3eac511bc047d3cc1aaecfff817cf644152f5",
+    "crack": "f9b12a9950d40b5e9a7dd84006894357a14b0e8766d8a1daa5662204207e00af",
+    "compare": "a5e43884bf21e5172febf3605b61acef47d1c0d8d70ccb1b894a2187c9923243",
+}
+
+
+def _words20k():
+    rng = random.Random("qiris:words20k")
+    words = {}
+    while len(words) < 20_000:
+        words.setdefault("".join(rng.choices(BASE62_ALPHABET, k=rng.randint(6, 10))))
+    return list(words)
+
+
+def test_outputs_on_a_20k_table_are_pinned(tmp_path, capsys, specs):
+    words = _words20k()
+    wordlist, table = tmp_path / "words.txt", tmp_path / "table.txt"
+    wordlist.write_text("\n".join(words) + "\n", encoding="ascii")
+    assert run_cli(["generate", "--wordlist", str(wordlist), "--out", str(table)]) == 0
+    assert capsys.readouterr().out == "chains=20000\nbuckets=4058\n"
+    rng = random.Random("qiris:queries20k")
+    digests = []
+    for _ in range(20):
+        word = words[rng.randrange(len(words))]
+        digests.append(rebuild_chain(word, specs[: rng.randrange(4)])[1])
+        digests.append(f"{rng.getrandbits(128):032x}")
+    codes = [run_cli(["crack", "--report", "--table", str(table), d]) for d in digests]
+    assert codes == [0, 1] * 20
+    cracked = capsys.readouterr().out
+    hashes = tmp_path / "hashes.txt"
+    hashes.write_text("".join(f"{d}\n" for d in digests), encoding="ascii")
+    assert run_cli(["compare", "--table", str(table), "--hashes", str(hashes)]) == 0
+    compared = capsys.readouterr().out
+    outputs = {"table": table.read_bytes(), "crack": cracked.encode(), "compare": compared.encode()}
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in outputs.items()} == WORDS20K_SHA256

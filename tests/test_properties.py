@@ -4,6 +4,7 @@ the table file."""
 
 import hashlib
 import os
+from collections import Counter
 import tempfile
 
 import pytest
@@ -16,10 +17,12 @@ from qiris.hashing import (
     ReductionSpec,
     build_permutation,
     md5_hex,
+    pearson16,
     reduce,
     walk_chain,
 )
 from qiris.prng import GAMMA, SplitMix64, splitmix64_block
+from qiris import rainbow_table
 from qiris.quantum_sim import _SHOT_CHUNK, grover_decisions, grover_search
 from qiris.rainbow_table import (
     BUCKET_WIDTH,
@@ -113,7 +116,11 @@ ROWS = st.one_of(
     ),
 )
 SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([-2, -1, 2**64, 2**64 + 1]))
-TABLES = st.builds(RainbowTable, chains=st.lists(ROWS, max_size=4), perm_seed=SEEDS)
+TABLES = st.builds(
+    lambda rows, seed: RainbowTable([c.start for c in rows], [c.end for c in rows], seed),
+    st.lists(ROWS, max_size=4),
+    SEEDS,
+)
 
 
 @settings(deadline=None)
@@ -162,6 +169,105 @@ def test_load_table_fuzz_raises_only_value_or_os_error(data):
     assert isinstance(table, RainbowTable) and table.chains
 
 
+# The edges of the row rule's byte classes: \x00 and \x7f may start a row;
+# \v, \f, \r, \x1c-\x1f and space are whitespace to str.split; \x80 and
+# \xff are not ASCII.
+CLASS_EDGES = [bytes([b]) for b in b"\x00\x7f\x0b\x0c\r\x1c\x1d\x1e\x1f \x80\xff"]
+START_BYTES = [bytes([b]) for b in range(128) if not chr(b).isspace()]
+VALID_LINES = st.builds(
+    lambda start, end: start + b"\t" + end.encode(),
+    st.lists(st.sampled_from(START_BYTES), min_size=1, max_size=4).map(b"".join),
+    BASE62_ENDS,
+)
+# a valid line with one edit at the edge of the rule: one class-edge byte
+# inserted, no start, no tab or two, a 2- or a 4-character end
+EDGE_LINES = st.one_of(
+    st.builds(
+        lambda line, at, byte: line[:at] + byte + line[at:],
+        VALID_LINES,
+        st.integers(0, 8),
+        st.sampled_from(CLASS_EDGES),
+    ),
+    VALID_LINES.map(lambda line: line[line.index(b"\t"):]),
+    VALID_LINES.map(lambda line: line.replace(b"\t", b"")),
+    VALID_LINES.map(lambda line: line.replace(b"\t", b"\t\t")),
+    VALID_LINES.map(lambda line: line[:-1]),
+    VALID_LINES.map(lambda line: line + b"0"),
+)
+EDGE_TABLES = st.builds(
+    lambda lines, last: HEADER + b"\n".join(lines) + last,
+    st.one_of(
+        st.lists(VALID_LINES, min_size=1, max_size=4),
+        st.lists(st.one_of(VALID_LINES, EDGE_LINES), min_size=1, max_size=4),
+    ),
+    # with or without the final newline
+    st.sampled_from([b"\n", b""]),
+)
+
+
+def _assert_loaders_agree(data):
+    # load_table takes the vectorized path's table, else the per-line path's
+    # table or message; the vectorized path declines a file the per-line
+    # path accepts only when the file lacks its final newline
+    try:
+        expected = rainbow_table._parse_lines(data)
+    except ValueError as exc:
+        expected = str(exc)
+    fast = rainbow_table._parse_valid(data)
+    if fast is not None:
+        assert fast == expected
+    else:
+        assert isinstance(expected, str) or not data.endswith(b"\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            assert load_table(path) == expected
+        except ValueError as exc:
+            assert str(exc) == expected
+
+
+@settings(deadline=None)
+@given(st.one_of(FUZZED_TABLES, EDGE_TABLES))
+def test_vectorized_and_per_line_loaders_agree(data):
+    _assert_loaders_agree(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [HEADER + b"a" + byte + b"\tabc\nb\tabc\n" for byte in CLASS_EDGES]
+    + [HEADER + b"a\tab" + byte + b"\n" for byte in CLASS_EDGES]
+    + [
+        HEADER + b"password\txk9\nmonkey\tA0z",
+        HEADER + b"\tabc\n",
+        HEADER + b"a\tabc\n\tabc\n",
+        HEADER + b"foo\tab\n",
+        HEADER + b"foo\tabcd\n",
+        HEADER + b"foo\tab\nbar\tabcd\n",
+        HEADER + b"a\tb\tc\n",
+        HEADER + b"a\t\tabc\n",
+        HEADER + b"a\tabc\n\n",
+    ],
+)
+def test_loaders_agree_at_each_edge(data):
+    _assert_loaders_agree(data)
+
+
+@given(st.lists(BASE62_ENDS, min_size=1, max_size=40))
+def test_index_hashes_are_pearson16(perm44, ends):
+    index = build_buckets(RainbowTable([f"w{i}" for i in range(len(ends))], ends, 44))
+    hashes = [pearson16(end, perm44) for end in ends]
+    assert list(index.hashes) == sorted(hashes)
+    assert [hashes[row] for row in index.rows] == sorted(hashes)
+    sizes = Counter(h // BUCKET_WIDTH for h in set(hashes))
+    assert index.counts == [sizes[key] for key in range(4096)]
+    present = bytearray(len(index.present))
+    for h in hashes:
+        present[h] = 1
+    assert index.present == present
+
+
 @given(st.data(), st.lists(END_HASHES, max_size=5))
 def test_index_lookup_matches_scan(end_for_hash, reachable_hashes, data, probes):
     reachable = reachable_hashes
@@ -173,8 +279,8 @@ def test_index_lookup_matches_scan(end_for_hash, reachable_hashes, data, probes)
             max_size=60,
         )
     )
-    chains = [Chain(start=f"w{i}", end=end_for_hash[h]) for i, h in enumerate(hashes)]
-    index = build_buckets(RainbowTable(chains=chains, perm_seed=44))
+    starts = [f"w{i}" for i in range(len(hashes))]
+    index = build_buckets(RainbowTable(starts, [end_for_hash[h] for h in hashes], 44))
     for h in set(hashes) | set(probes):
         assert index.rows_for(h) == [i for i, v in enumerate(hashes) if v == h]
 
@@ -208,8 +314,9 @@ def test_crack_agrees_with_classical(
         for j, key in enumerate(keys)
         for r in range(fills[j % len(fills)])
     ]
-    fillers = [Chain(start=f"fill{i}", end=end) for i, end in enumerate(ends) if end]
-    table = RainbowTable(chains=table.chains + fillers, perm_seed=table.perm_seed)
+    ends = [end for end in ends if end]
+    fillers = [f"fill{i}" for i in range(len(ends))]
+    table = RainbowTable(table.starts + fillers, table.ends + ends, table.perm_seed)
     index = build_buckets(table)
     queries = [rebuild_chain(words[row % len(words)], specs[:depth])[1] for row, depth in hits]
     queries += [md5_hex(b"miss:" + data) for data in misses]

@@ -1,5 +1,6 @@
 import hashlib
 from collections import Counter
+from collections.abc import Sequence
 
 import pytest
 
@@ -18,8 +19,8 @@ from qiris.rainbow_table import (
 
 def _table(end_for_hash, hashes):
     """A seed-44 table whose row i ends in a chain end hashing to hashes[i]."""
-    chains = [Chain(start=f"w{i}", end=end_for_hash[h]) for i, h in enumerate(hashes)]
-    return RainbowTable(chains=chains, perm_seed=44)
+    starts = [f"w{i}" for i in range(len(hashes))]
+    return RainbowTable(starts, [end_for_hash[h] for h in hashes], 44)
 
 
 def test_generate_single_word(perm44, specs):
@@ -127,6 +128,29 @@ def test_bucket_reconstruction_roundtrip(table100, buckets100, perm44):
     }
     assert rebuilt == set(end_hashes)
     assert Counter(buckets100.hashes) == Counter(end_hashes)
+    buckets = buckets100.buckets
+    assert buckets100.counts == [len(buckets.get(k, ())) for k in range(4096)]
+    assert [h for h, seen in enumerate(buckets100.present) if seen] == sorted(set(end_hashes))
+
+
+@pytest.mark.parametrize(
+    "ends,row",
+    [
+        (["abc", "ab", "xyz"], 1),
+        (["abc", "abcd", "xyz"], 1),
+        (["abc", "é", "xyz"], 1),
+        (["abc", "", "xyz"], 1),
+        # 2 + 4 characters fill two 3-character slots; the row must still be named
+        (["ab", "abcd"], 0),
+        (["abc", "a\nb"], 1),
+        (["abc", "ab!"], 1),
+    ],
+)
+def test_build_buckets_names_the_bad_end(ends, row):
+    table = RainbowTable([f"w{i}" for i in range(len(ends))], ends, 44)
+    message = rf"^table\.chains\[{row}\]: end must be 3 base62 characters$"
+    with pytest.raises(ValueError, match=message):
+        build_buckets(table)
 
 
 def test_end_hash_indices(end_for_hash):
@@ -136,6 +160,29 @@ def test_end_hash_indices(end_for_hash):
     assert index.rows_for(9999) == []
     assert list(index.hashes) == [3, 7, 7]
     assert list(index.rows) == [1, 0, 2]
+
+
+def test_chains_view_reads_the_columns(table100, tmp_path):
+    chains = table100.chains
+    rows = [Chain(start, end) for start, end in zip(table100.starts, table100.ends)]
+    assert isinstance(chains, Sequence)
+    assert len(chains) == 100
+    assert chains[0] == rows[0] and chains[-1] == rows[-1] and chains[-100] == rows[0]
+    assert chains[2:5] == rows[2:5] and chains[::-7] == rows[::-7]
+    assert list(chains) == rows
+    with pytest.raises(IndexError):
+        chains[100]
+    with pytest.raises(TypeError):
+        chains[0] = rows[1]
+    path = tmp_path / "table.txt"
+    save_table(table100, path)
+    assert load_table(path).chains == chains
+    assert chains != RainbowTable(table100.starts[:99], table100.ends[:99], 44).chains
+
+
+def test_table_columns_must_match():
+    with pytest.raises(ValueError, match="2 starts but 1 ends"):
+        RainbowTable(["a", "b"], ["abc"], 44)
 
 
 def test_save_load_roundtrip(table100, tmp_path):
@@ -224,27 +271,27 @@ def test_load_rejects_non_ascii(tmp_path):
 
 
 def test_save_rejects_non_canonical_ends(tmp_path):
-    table = RainbowTable(chains=[Chain(start="word", end="ab")], perm_seed=44)
+    table = RainbowTable(["word"], ["ab"], 44)
     with pytest.raises(ValueError, match="base62"):
         save_table(table, tmp_path / "bad.txt")
 
 
 @pytest.mark.parametrize(
-    "chains,seed,fragment",
+    "starts,ends,seed,fragment",
     [
-        ([], 44, "no chains"),
-        ([Chain(start="word", end="abc")], -1, "seed -1"),
-        ([Chain(start="word", end="abc")], 2**64, "seed 18446744073709551616"),
-        ([Chain(start="word", end="abc"), Chain(start="é", end="abc")], 44, r"\[1\]: .* ASCII"),
+        ([], [], 44, "no chains"),
+        (["word"], ["abc"], -1, "seed -1"),
+        (["word"], ["abc"], 2**64, "seed 18446744073709551616"),
+        (["word", "é"], ["abc", "abc"], 44, r"\[1\]: .* ASCII"),
     ],
     ids=["empty", "negative-seed", "wide-seed", "late-bad-row"],
 )
-def test_save_refuses_before_opening(chains, seed, fragment, tmp_path):
+def test_save_refuses_before_opening(starts, ends, seed, fragment, tmp_path):
     # a refused save leaves an existing file as it was
     path = tmp_path / "table.txt"
     path.write_bytes(b"old bytes")
     with pytest.raises(ValueError, match=fragment):
-        save_table(RainbowTable(chains=chains, perm_seed=seed), path)
+        save_table(RainbowTable(starts, ends, seed), path)
     assert path.read_bytes() == b"old bytes"
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+from array import array
 
 import pytest
 
@@ -7,7 +8,6 @@ from qiris.hashing import build_permutation, md5_hex, pearson16, reduce, walk_ch
 from qiris.quantum_sim import grover_decisions, grover_iterations
 from qiris.rainbow_table import (
     BUCKET_WIDTH,
-    Chain,
     RainbowTable,
     build_buckets,
     generate_table,
@@ -27,11 +27,17 @@ NO_QUANTUM = SearchConfig(classical_threshold=BUCKET_WIDTH)
 
 def test_membership_classical(perm44, specs):
     # the classical membership test alone decides whether the row is looked up:
-    # with the stored residue swapped for its neighbour the chain is never read
+    # with the stored residue swapped for its neighbours the chain is never read
     table = generate_table(["password"], specs, perm44)
     index = build_buckets(table)
-    key, residue = divmod(index.hashes[0], BUCKET_WIDTH)
-    other = dataclasses.replace(index, buckets={key: [residue ^ 1, residue ^ 2]})
+    h = index.hashes[0]
+    counts = list(index.counts)
+    counts[h // BUCKET_WIDTH] = 2
+    present = bytearray(len(index.present))
+    present[h ^ 1] = present[h ^ 2] = 1
+    other = dataclasses.replace(
+        index, hashes=array("H", [h ^ 1]), counts=counts, present=bytes(present)
+    )
     query = md5_hex("password")
     found = crack(query, table, index, perm44, specs, NO_QUANTUM)
     missed = crack(query, table, other, perm44, specs, NO_QUANTUM)
@@ -145,18 +151,21 @@ def test_grover_decision_accepts_every_present_key_at_default_flags():
 
 
 def _one_suffix_table(word, specs, perm, end_for_hash, with_word):
-    """A table with specs[:1] whose bucket for md5(word)'s candidate holds 3 residues.
+    """A table with specs[-1:] whose bucket for md5(word)'s candidate holds 3 residues.
 
+    The last reduction makes 3-character ends, the only ones a table holds.
     With `with_word` the candidate's own residue is one of them, else not.
     """
-    text = walk_chain(bytes.fromhex(md5_hex(word)), specs[:1])
+    text = walk_chain(bytes.fromhex(md5_hex(word)), specs[-1:])
     key, residue = divmod(pearson16(text, perm), BUCKET_WIDTH)
     others = [
         r for r in range(BUCKET_WIDTH) if r != residue and key * BUCKET_WIDTH + r in end_for_hash
     ]
-    chains = [Chain(start=f"fill{r}", end=end_for_hash[key * BUCKET_WIDTH + r]) for r in others]
-    chains = chains[:2] + [Chain(start=word, end=text)] if with_word else chains[:3]
-    table = RainbowTable(chains=chains, perm_seed=perm.seed)
+    starts = [f"fill{r}" for r in others]
+    ends = [end_for_hash[key * BUCKET_WIDTH + r] for r in others]
+    if with_word:
+        starts, ends = starts[:2] + [word], ends[:2] + [text]
+    table = RainbowTable(starts[:3], ends[:3], perm.seed)
     index = build_buckets(table)
     assert len(index.buckets[key]) == 3 and (residue in index.buckets[key]) == with_word
     return table, index
@@ -183,7 +192,7 @@ def test_crack_decides_by_membership_without_reading_the_vote(
         )
     for with_word, result in [(True, "qwerty"), (False, None)]:
         table, index = _one_suffix_table("qwerty", specs, perm44, end_for_hash, with_word)
-        report = crack(md5_hex("qwerty"), table, index, perm44, specs[:1], cfg)
+        report = crack(md5_hex("qwerty"), table, index, perm44, specs[-1:], cfg)
         assert report.result == result
         assert report.grover_invocations == 1
         assert report.grover_iterations_total == grover_iterations(3)
