@@ -2,7 +2,12 @@
 
 A table stores one chain per wordlist entry as two columns in row order: the
 starting plaintexts and the final 3-character reductions. `table.chains`
-views the columns as `Chain` rows without storing any. A table file that
+views the columns as `Chain` rows without storing any. Each table also
+derives, once, a packed end column: one uint32 per row holding the end's 3
+bytes and a newline, which the bucket index hashes. The classical baseline
+scans the ends as a string of one character per row, so that the rows
+ending in a text are found by an O(N) single-character `str.find`, which
+CPython runs as one wmemchr call over the column. A table file that
 keeps the format is read in one vectorized pass; any other is read line by
 line, so that the error names the line. The bucket index Pearson-hashes all
 chain ends at once into 16-bit values whose high 12 bits select a bucket and
@@ -17,7 +22,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,6 +46,12 @@ _HEADER_RE = re.compile(r"^QIRIS v(\d{1,20}) seed=(\d{1,20}) chain=R1,R2,R3,R4$"
 _ROW_BYTE = np.array([b < 128 and (not chr(b).isspace() or chr(b) in "\t\n") for b in range(256)])
 _BASE62_BYTE = np.zeros(256, bool)
 _BASE62_BYTE[list(BASE62_ALPHABET.encode())] = True
+
+# A base62 byte is one of the 75 values from ord("0") to ord("z"), so an
+# end's bytes read in radix 75 give each end its own code point. The points
+# run from 273648 ("000") to 695522, above U+FFFF, so a string of them is
+# stored 4 bytes a character, which is what lets `str.find` use wmemchr.
+_POINT_RADIX = 75
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,11 +91,12 @@ class _Chains(Sequence):
         return f"chains({list(self)!r})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RainbowTable:
     """What a table file holds: the start and end columns in row order, and the seed.
 
-    `chains` views the columns as one `Chain` per row.
+    `chains` views the columns as one `Chain` per row. The table is frozen,
+    so `end_codes` and `end_chars`, derived from `ends` once, cannot go stale.
     """
 
     starts: list
@@ -98,6 +110,59 @@ class RainbowTable:
     @property
     def chains(self) -> _Chains:
         return _Chains(self.starts, self.ends)
+
+    @cached_property
+    def end_codes(self) -> np.ndarray:
+        """The packed end column: each row's 3 end bytes and a newline as a
+        little-endian uint32, once every end is 3 base62 characters.
+
+        An end that breaks the row rule is named as `table.chains[i]`.
+        """
+        # A newline follows every end, so a text of 4 bytes per end whose
+        # first 3 of each 4 are base62 has its N newlines at every 4th byte:
+        # each end is then exactly the 3 bytes before one, and no end is cut
+        # or shifted.
+        text = "\n".join([*self.ends, ""])
+        if text.isascii() and len(text) == 4 * len(self.ends):
+            codes = np.frombuffer(text.encode("ascii"), "<u4")
+            if _BASE62_BYTE[codes.view(np.uint8).reshape(-1, 4)[:, :3]].all():
+                return codes
+        # some end failed the check above, and this loop raises at the first one
+        for pos, end in enumerate(self.ends):
+            _check_end(end, f"table.chains[{pos}]")
+
+    @cached_property
+    def end_chars(self) -> str:
+        """The end column for the classical scan: one character per row, the
+        code point `_end_point` gives that row's end.
+        """
+        end_bytes = self.end_codes.view(np.uint8).reshape(-1, 4)
+        points = end_bytes[:, 0].astype("<u4")
+        for column in (1, 2):
+            points *= _POINT_RADIX
+            points += end_bytes[:, column]
+        return str(points, "utf-32-le")
+
+    def rows_ending(self, text: str) -> list:
+        """All row ids whose end equals `text`, ascending; one O(N) column scan.
+
+        A `text` that is not 3 base62 characters matches no row.
+        """
+        chars = self.end_chars  # a bad end is refused whatever `text` is
+        if not (len(text) == 3 and text.isascii() and text.isalnum()):
+            return []
+        point = _end_point(text)
+        rows = []
+        row = chars.find(point)
+        while row >= 0:
+            rows.append(row)
+            row = chars.find(point, row + 1)
+        return rows
+
+
+def _end_point(end: str) -> str:
+    """The character that stands for the 3-base62 `end` in `table.end_chars`."""
+    return chr((ord(end[0]) * _POINT_RADIX + ord(end[1])) * _POINT_RADIX + ord(end[2]))
 
 
 @dataclass
@@ -210,24 +275,6 @@ def _permutation(seed: int) -> tuple:
     return perm, np.array(perm.table, dtype=np.intp)
 
 
-def _end_codes(ends) -> np.ndarray:
-    """The ends' bytes as an N×3 array, once every end is 3 base62 characters.
-
-    An end that breaks the row rule is named as `table.chains[i]`.
-    """
-    # A newline follows every end, so a text of 4 bytes per end whose first 3
-    # of each 4 are base62 has its N newlines at every 4th byte: each end is
-    # then exactly the 3 bytes before one, and no end is cut or shifted.
-    text = "\n".join([*ends, ""])
-    if text.isascii() and len(text) == 4 * len(ends):
-        rows = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 4)
-        if _BASE62_BYTE[rows[:, :3]].all():
-            return rows[:, :3]
-    # some end failed the check above, and this loop raises at the first one
-    for pos, end in enumerate(ends):
-        _check_end(end, f"table.chains[{pos}]")
-
-
 def build_buckets(table: RainbowTable) -> BucketIndex:
     """Hash every chain end and index the hashes; the one place ends are hashed.
 
@@ -239,9 +286,9 @@ def build_buckets(table: RainbowTable) -> BucketIndex:
     share one permutation object and one build.
     """
     perm, lookup = _permutation(table.perm_seed)
-    codes = _end_codes(table.ends)
+    codes = table.end_codes.view(np.uint8).reshape(-1, 4)
     h = np.full(len(codes), 3, np.intp)  # pearson16 starts at len(text)
-    for column in codes.T:
+    for column in codes[:, :3].T:
         h = lookup[(h + column) % PERMUTATION_SIZE]
     hashes = h.astype(np.uint16)  # sorts an order of magnitude faster than intp
     order = np.argsort(hashes, kind="stable")

@@ -4,7 +4,8 @@ For each chain suffix the query hash is reduced to a candidate end plaintext.
 The quantum path reads the size of the candidate's bucket to pick the probe
 and whether the candidate's 4-bit residue is present, and only then looks up
 the rows ending in the candidate's hash in the sorted end-hash index; the
-classical baseline scans the whole column of chain ends instead. Any hit is verified
+classical baseline compares the candidate with every chain end instead, one
+O(N) scan of the table's end column per suffix. Any hit is verified
 by rebuilding the chain and comparing MD5 digests, so both paths only ever
 return true preimages. The simulated Grover vote is checked once per config:
 `SearchConfig` refuses one whose vote rejects a present residue in a bucket
@@ -158,7 +159,12 @@ def crack(
 
 
 def crack_classical(hash_hex: str, table: RainbowTable, specs) -> str | None:
-    """Baseline inversion: same suffix walk, membership by scanning every chain end."""
+    """Baseline inversion: same suffix walk, membership by scanning every chain end.
+
+    Each suffix's candidate is compared with all N ends, one O(N)
+    single-character search of the end column (`table.rows_ending`), and
+    the matching rows are verified in row order.
+    """
     result, _ = crack_classical_scan(hash_hex, table, specs)
     return result
 
@@ -168,19 +174,13 @@ def crack_classical_scan(hash_hex: str, table: RainbowTable, specs) -> tuple:
     query = normalize_digest(hash_hex)
     raw = bytes.fromhex(query)
     n = len(specs)
-    ends = table.ends
     scanned = 0
     for i in range(1, n + 1):
         text = walk_chain(raw, specs[n - i:])
         # a pass compares the rows up to the verified match, or every row
-        row = -1
-        while True:
-            try:
-                row = ends.index(text, row + 1)
-            except ValueError:
-                scanned += len(ends)
-                break
+        for row in table.rows_ending(text):
             candidate, candidate_hash = rebuild_chain(table.starts[row], specs[: n - i])
             if candidate_hash == query:
                 return candidate, scanned + row + 1
+        scanned += len(table.starts)
     return None, scanned

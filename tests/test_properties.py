@@ -17,6 +17,7 @@ from qiris.hashing import (
     ReductionSpec,
     build_permutation,
     md5_hex,
+    normalize_digest,
     pearson16,
     reduce,
     walk_chain,
@@ -33,7 +34,13 @@ from qiris.rainbow_table import (
     load_table,
     save_table,
 )
-from qiris.search import SearchConfig, crack, crack_classical, rebuild_chain
+from qiris.search import (
+    SearchConfig,
+    crack,
+    crack_classical,
+    crack_classical_scan,
+    rebuild_chain,
+)
 
 END_HASHES = st.one_of(st.integers(0, 65534), st.sampled_from([0, 1, 65533, 65534]))
 WORDS = st.text("abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=8)
@@ -283,6 +290,55 @@ def test_index_lookup_matches_scan(end_for_hash, reachable_hashes, data, probes)
     index = build_buckets(RainbowTable(starts, [end_for_hash[h] for h in hashes], 44))
     for h in set(hashes) | set(probes):
         assert index.rows_for(h) == [i for i, v in enumerate(hashes) if v == h]
+
+
+def _reference_classical_scan(hash_hex, table, specs):
+    """The classical scan as a pure-Python `list.index` loop over the ends column."""
+    query = normalize_digest(hash_hex)
+    raw = bytes.fromhex(query)
+    n = len(specs)
+    ends = table.ends
+    scanned = 0
+    for i in range(1, n + 1):
+        text = walk_chain(raw, specs[n - i:])
+        row = -1
+        while True:
+            try:
+                row = ends.index(text, row + 1)
+            except ValueError:
+                scanned += len(ends)
+                break
+            candidate, candidate_hash = rebuild_chain(table.starts[row], specs[: n - i])
+            if candidate_hash == query:
+                return candidate, scanned + row + 1
+    return None, scanned
+
+
+@settings(deadline=None)
+@given(
+    st.lists(WORDS, min_size=1, max_size=30),
+    # (insert position, chain whose end the filler repeats)
+    st.lists(st.tuples(st.integers(0, 60), st.integers(0, 40)), max_size=20),
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 3)), min_size=1, max_size=6),
+    st.lists(st.binary(min_size=1, max_size=12), max_size=3),
+)
+def test_classical_scan_matches_the_list_index_reference(
+    perm44, specs, words, fills, hits, misses
+):
+    table = generate_table(words, specs, perm44)
+    starts, ends = list(table.starts), list(table.ends)
+    # a filler shares a real chain's end but rebuilds to another hash, so it is
+    # a false alarm that must not end the pass, before or after the real row
+    for i, (pos, source) in enumerate(fills):
+        pos %= len(starts) + 1
+        starts.insert(pos, f"fill{i}")
+        ends.insert(pos, table.ends[source % len(words)])
+    table = RainbowTable(starts, ends, table.perm_seed)
+    queries = [rebuild_chain(words[row % len(words)], specs[:depth])[1] for row, depth in hits]
+    queries += [md5_hex(b"miss:" + data) for data in misses]
+    for query in queries:
+        expected = _reference_classical_scan(query, table, specs)
+        assert crack_classical_scan(query, table, specs) == expected
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from collections import Counter
 from collections.abc import Sequence
@@ -5,7 +6,7 @@ from collections.abc import Sequence
 import pytest
 
 from qiris import rainbow_table
-from qiris.hashing import build_permutation, md5_hex, pearson16
+from qiris.hashing import BASE62_ALPHABET, build_permutation, md5_hex, pearson16
 from qiris.rainbow_table import (
     BUCKET_WIDTH,
     Chain,
@@ -15,6 +16,7 @@ from qiris.rainbow_table import (
     load_table,
     save_table,
 )
+from qiris.search import crack_classical_scan
 
 
 def _table(end_for_hash, hashes):
@@ -146,11 +148,14 @@ def test_bucket_reconstruction_roundtrip(table100, buckets100, perm44):
         (["abc", "ab!"], 1),
     ],
 )
-def test_build_buckets_names_the_bad_end(ends, row):
-    table = RainbowTable([f"w{i}" for i in range(len(ends))], ends, 44)
+def test_build_buckets_names_the_bad_end(ends, row, specs):
+    # the index build and the classical scan both read the packed end column
     message = rf"^table\.chains\[{row}\]: end must be 3 base62 characters$"
-    with pytest.raises(ValueError, match=message):
-        build_buckets(table)
+    query = md5_hex("w0")
+    for read_ends in (build_buckets, lambda table: crack_classical_scan(query, table, specs)):
+        table = RainbowTable([f"w{i}" for i in range(len(ends))], ends, 44)
+        with pytest.raises(ValueError, match=message):
+            read_ends(table)
 
 
 def test_end_hash_indices(end_for_hash):
@@ -178,6 +183,38 @@ def test_chains_view_reads_the_columns(table100, tmp_path):
     save_table(table100, path)
     assert load_table(path).chains == chains
     assert chains != RainbowTable(table100.starts[:99], table100.ends[:99], 44).chains
+
+
+def test_rows_ending_scans_the_end_column():
+    table = RainbowTable(["a", "b", "c", "d", "e"], ["xk9", "abc", "xk9", "Z0z", "xk9"], 44)
+    assert table.rows_ending("xk9") == [0, 2, 4]
+    assert table.rows_ending("Z0z") == [3]
+    assert table.rows_ending("xk8") == []
+    # a text that is not 3 base62 characters matches no row
+    for text in ["", "xk", "xk9x", "xk9\n", "é9x", "ab\n", "x!9", "x k"]:
+        assert table.rows_ending(text) == []
+    assert table.end_codes.dtype == "<u4" and not table.end_codes.flags.writeable
+    assert table.end_codes[1] == int.from_bytes(b"abc\n", "little")
+    chars = table.end_chars
+    assert len(chars) == 5 and chars[0] == chars[2] == chars[4] != chars[1]
+    assert min(map(ord, chars)) > 0xFFFF
+
+
+def test_end_chars_give_every_base62_end_its_own_character():
+    ends = [a + b + c for a in BASE62_ALPHABET for b in BASE62_ALPHABET for c in BASE62_ALPHABET]
+    table = RainbowTable(["w"] * len(ends), ends, 44)
+    chars = table.end_chars
+    assert len(chars) == len(ends) == len(set(chars))
+    assert min(map(ord, chars)) > 0xFFFF and max(map(ord, chars)) <= 0x10FFFF
+    for row in [0, 1, 61, 62, 3843, 3844, 123_456, len(ends) - 1]:
+        assert table.rows_ending(ends[row]) == [row]
+
+
+@pytest.mark.parametrize("field", ["starts", "ends", "perm_seed"])
+def test_table_is_frozen(table100, field):
+    # a reassigned column would leave the cached end column stale
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(table100, field, getattr(table100, field))
 
 
 def test_table_columns_must_match():

@@ -243,6 +243,24 @@ def test_classical_scan_counts_comparisons(table100, specs):
     assert 3 * len(table100.chains) < scanned <= 4 * len(table100.chains)
 
 
+@pytest.mark.parametrize("kept", [1, 2, 3])
+def test_classical_scan_of_longer_ends_matches_no_row(table100, specs, kept):
+    # R1..R3 reduce to 6, 4 and 5 characters, which no 3-character end equals
+    for word in ["password", "not-a-chain-member"]:
+        result = crack_classical_scan(md5_hex(word), table100, specs[:kept])
+        assert result == (None, kept * len(table100.chains))
+
+
+def test_scans_build_the_end_column_once(table100, specs):
+    table = RainbowTable(table100.starts, table100.ends, table100.perm_seed)
+    assert "end_codes" not in vars(table) and "end_chars" not in vars(table)
+    crack_classical_scan(md5_hex("not-a-chain-member"), table, specs)
+    column, chars = vars(table)["end_codes"], vars(table)["end_chars"]
+    assert crack_classical_scan(md5_hex("password"), table, specs)[0] == "password"
+    build_buckets(table)
+    assert vars(table)["end_codes"] is column and vars(table)["end_chars"] is chars
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
