@@ -15,7 +15,7 @@ from .rainbow_table import (
     BUCKET_WIDTH,
     _check_plaintext,
     _permutation,
-    _read_lines,
+    _read_text,
     build_buckets,
     generate_table,
     load_table,
@@ -37,7 +37,7 @@ _REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(SearchReport) if f.nam
 
 def _read_wordlist(path):
     words = []
-    for lineno, line in enumerate(_read_lines(path, "wordlist line"), start=1):
+    for lineno, line in enumerate(_read_text(path, "wordlist line").split("\n"), start=1):
         if line:
             _check_plaintext(line, f"wordlist line {lineno}")
             words.append(line)
@@ -46,7 +46,7 @@ def _read_wordlist(path):
 
 def _read_hashes(path):
     digests = []
-    for lineno, line in enumerate(_read_lines(path, "hashes line"), start=1):
+    for lineno, line in enumerate(_read_text(path, "hashes line").split("\n"), start=1):
         if line == "":
             continue
         try:

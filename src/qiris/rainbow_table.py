@@ -7,13 +7,14 @@ derives, once, a packed end column: one uint32 per row holding the end's 3
 bytes and a newline, which the bucket index hashes. The classical baseline
 scans the ends as a string of one character per row, so that the rows
 ending in a text are found by an O(N) single-character `str.find`, which
-CPython runs as one wmemchr call over the column. A table file that
-keeps the format is read in one vectorized pass; any other is read line by
-line, so that the error names the line. The bucket index Pearson-hashes all
-chain ends at once into 16-bit values whose high 12 bits select a bucket and
-whose low 4 bits are the residues searched at crack time. It keeps the end
-hashes sorted, so the rows ending in a given hash are found by binary
-search, and the number of distinct residues in each of the 4096 buckets.
+CPython runs as one wmemchr call over the column. A table file is checked
+by one search of a row pattern over its body and split in one call; the
+first line the pattern refuses goes to the per-line row check, which makes
+the error. The bucket index Pearson-hashes all chain ends at once into
+16-bit values whose high 12 bits select a bucket and whose low 4 bits are
+the residues searched at crack time. It keeps the end hashes sorted, so the
+rows ending in a given hash are found by binary search, and the number of
+distinct residues in each of the 4096 buckets.
 """
 
 import hashlib
@@ -40,10 +41,13 @@ BUCKET_WIDTH = 16
 
 _HEADER_RE = re.compile(r"^QIRIS v(\d{1,20}) seed=(\d{1,20}) chain=R1,R2,R3,R4$")
 
-# Byte classes of the row rule. A table body holds start bytes, which are
-# ASCII but not whitespace as str.split sees it, and the tab and newline
-# that frame each row; an end byte is base62.
-_ROW_BYTE = np.array([b < 128 and (not chr(b).isspace() or chr(b) in "\t\n") for b in range(256)])
+# A newline that no row follows, where a row is the row rule as a pattern:
+# start bytes, which are ASCII but not whitespace as str.split sees it, one
+# tab and a 3-base62 end, then a newline. Searched for from the end of the
+# header, it is found just before the first bad line, or else at the file's
+# last newline. A repeated group, `(?:row)*`, would do the same in one match
+# but keeps about 190 bytes of matcher state per row it passes.
+_NO_ROW_AFTER_RE = re.compile(r"\n(?![\x00-\x08\x0e-\x1b\x21-\x7f]+\t[0-9A-Za-z]{3}\n)")
 _BASE62_BYTE = np.zeros(256, bool)
 _BASE62_BYTE[list(BASE62_ALPHABET.encode())] = True
 
@@ -149,7 +153,7 @@ class RainbowTable:
         A `text` that is not 3 base62 characters matches no row.
         """
         chars = self.end_chars  # a bad end is refused whatever `text` is
-        if not (len(text) == 3 and text.isascii() and text.isalnum()):
+        if not _is_end(text):
             return []
         point = _end_point(text)
         rows = []
@@ -230,10 +234,15 @@ def _check_plaintext(text: str, where: str) -> None:
     raise ValueError(f"{where}: start plaintext contains whitespace")
 
 
+def _is_end(text: str) -> bool:
+    """Whether `text` is a chain end: 3 base62 characters."""
+    # on ASCII text, isalnum() accepts exactly the base62 alphabet
+    return len(text) == 3 and text.isascii() and text.isalnum()
+
+
 def _check_end(end: str, where: str) -> None:
     """Reject a chain end unless it is 3 base62 characters."""
-    # on ASCII text, isalnum() accepts exactly the base62 alphabet
-    if not (len(end) == 3 and end.isascii() and end.isalnum()):
+    if not _is_end(end):
         raise ValueError(f"{where}: end must be 3 base62 characters")
 
 
@@ -243,26 +252,29 @@ def _check_row(start: str, end: str, where: str) -> None:
     _check_end(end, where)
 
 
-def _split_lines(text: str, label: str) -> list:
-    """`text` split on LF, refusing CRLF line endings by the first such line.
+def _check_line(line: str, lineno: int) -> None:
+    """The row rule for one table line: a start, one tab and an end."""
+    parts = line.split("\t")
+    if len(parts) != 2:
+        raise ValueError(f"line {lineno}: expected exactly one tab separator")
+    _check_row(*parts, f"line {lineno}")
 
-    The error is prefixed by `label` (e.g. "line" or "wordlist line").
+
+def _read_text(path, label: str) -> str:
+    """A text file's contents, refusing CRLF line endings by the first such line.
+
+    latin-1 maps every byte to one character, so no byte is a decode error:
+    a non-ASCII byte reaches the checks of its line and is reported with
+    the line's number. The error is prefixed by `label` (e.g. "line" or
+    "wordlist line").
     """
+    with open(path, "rb") as fh:
+        text = fh.read().decode("latin-1")
     crlf = text.find("\r\n")
     if crlf >= 0:
         lineno = text.count("\n", 0, crlf) + 1
         raise ValueError(f"{label} {lineno}: file has CRLF line endings; use LF")
-    return text.split("\n")
-
-
-def _read_lines(path, label: str) -> list:
-    """The lines of a text file split on LF; bytes are never a decode error.
-
-    latin-1 maps every byte to one character, so a non-ASCII byte reaches
-    the per-line checks and is reported with its line number.
-    """
-    with open(path, "rb") as fh:
-        return _split_lines(fh.read().decode("latin-1"), label)
+    return text
 
 
 @lru_cache(maxsize=1)
@@ -322,83 +334,41 @@ def save_table(table: RainbowTable, path) -> None:
             fh.write(f"{start}\t{end}\n")
 
 
-def _parse_valid(data: bytes) -> RainbowTable | None:
-    """The table in `data` when the whole file keeps the format, else None.
-
-    Every body byte is checked at once: each is a start byte, a tab or a
-    newline, the file ends in a newline, and each line holds one tab with a
-    non-empty start before it and 3 base62 bytes after it. The rows are
-    then the whitespace-split tokens in pairs. This decides no error: the
-    per-line path does that.
-    """
-    nl = data.find(b"\n")
-    header = _HEADER_RE.match(data[:nl].decode("latin-1")) if nl > 0 else None
-    if header is None or int(header.group(1)) != TABLE_VERSION:
-        return None
-    seed = int(header.group(2))
-    if seed > MASK64:
-        return None
-    body = np.frombuffer(data, np.uint8, offset=nl + 1)
-    if not body.size or body[-1] != ord("\n"):
-        return None
-    if np.bincount(body, minlength=256)[~_ROW_BYTE].any():
-        return None
-    newlines = np.flatnonzero(body == ord("\n"))
-    tabs = np.flatnonzero(body == ord("\t"))
-    if tabs.size != newlines.size or (newlines - tabs != 4).any():
-        return None
-    # a tab past the byte after the previous newline has a start before it
-    if tabs[0] == 0 or (tabs[1:] - newlines[:-1] < 2).any():
-        return None
-    if not _BASE62_BYTE[body[tabs[:, None] + (1, 2, 3)]].all():
-        return None
-    tokens = data[nl + 1:].decode("ascii").split()
-    return RainbowTable(tokens[0::2], tokens[1::2], seed)
-
-
-def _parse_lines(data: bytes) -> RainbowTable:
-    """The table in `data`, checked line by line; an error names the line."""
-    lines = _split_lines(data.decode("latin-1"), "line")
-    if not lines[0]:
-        raise ValueError("line 1: missing table header")
-    header = _HEADER_RE.match(lines[0])
-    if header is None:
-        more = "..." if len(lines[0]) > 80 else ""  # echo a bounded prefix of the line
-        raise ValueError(f"line 1: malformed table header: {lines[0][:80]!r}{more}")
-    version = int(header.group(1))
-    if version != TABLE_VERSION:
-        raise ValueError(f"line 1: unsupported table version v{version}")
-    seed = int(header.group(2))
-    if seed > MASK64:
-        raise ValueError(f"line 1: permutation seed {seed} does not fit in 64 bits")
-
-    body = lines[1:]
-    if body and body[-1] == "":
-        body = body[:-1]
-    starts, ends = [], []
-    for lineno, line in enumerate(body, start=2):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected exactly one tab separator")
-        start, end = parts
-        _check_row(start, end, f"line {lineno}")
-        starts.append(start)
-        ends.append(end)
-    if not starts:
-        raise ValueError("table has no chains")
-    return RainbowTable(starts, ends, seed)
-
-
 def load_table(path) -> RainbowTable:
     """Read a table file written by save_table.
 
     The permutation seed comes from the header; the end hashes are derived
-    from it by build_buckets. A file that keeps the format is read in one
-    vectorized pass; any other goes through the per-line checks, which
-    reject malformed headers, unsupported versions and malformed rows with
-    the number of the offending line.
+    from it by build_buckets. One search of the row pattern checks the
+    body, which is then split into its rows in one call. Malformed headers,
+    unsupported versions and malformed rows are refused with the number of
+    the offending line: for rows, the first line the pattern refuses,
+    whose error _check_line makes.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    table = _parse_valid(data)
-    return table if table is not None else _parse_lines(data)
+    text = _read_text(path, "line")
+    if not text.endswith("\n"):
+        text += "\n"
+    header, _, body = text.partition("\n")
+    if not header:
+        raise ValueError("line 1: missing table header")
+    match = _HEADER_RE.match(header)
+    if match is None:
+        # echo a bounded prefix of the line: 60 characters, each at most 4
+        # bytes as a repr escape, keep the message under 300 bytes
+        more = "..." if len(header) > 60 else ""
+        raise ValueError(f"line 1: malformed table header: {header[:60]!r}{more}")
+    version = int(match.group(1))
+    if version != TABLE_VERSION:
+        raise ValueError(f"line 1: unsupported table version v{version}")
+    seed = int(match.group(2))
+    if seed > MASK64:
+        raise ValueError(f"line 1: permutation seed {seed} does not fit in 64 bits")
+
+    bad = _NO_ROW_AFTER_RE.search(text, len(header)).end()
+    if bad < len(text):
+        lineno = text.count("\n", 0, bad) + 1
+        _check_line(text[bad:text.index("\n", bad)], lineno)
+        raise AssertionError(f"line {lineno}: the row pattern refused a row the row rule accepts")
+    tokens = body.split()
+    if not tokens:
+        raise ValueError("table has no chains")
+    return RainbowTable(tokens[0::2], tokens[1::2], seed)

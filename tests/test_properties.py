@@ -1,9 +1,12 @@
 """Property-based checks of the chain walk, the end-hash index, the hybrid
-crack, the Grover decision table, the permutation, the SplitMix64 stream and
-the table file."""
+crack, the Grover decision table, the permutation, the SplitMix64 stream,
+the table file and the CLI's input files."""
 
+import contextlib
 import hashlib
+import io
 import os
+import re
 from collections import Counter
 import tempfile
 
@@ -24,6 +27,7 @@ from qiris.hashing import (
 )
 from qiris.prng import GAMMA, SplitMix64, splitmix64_block
 from qiris import rainbow_table
+from qiris.cli import main
 from qiris.quantum_sim import _SHOT_CHUNK, grover_decisions, grover_search
 from qiris.rainbow_table import (
     BUCKET_WIDTH,
@@ -212,19 +216,53 @@ EDGE_TABLES = st.builds(
 )
 
 
+def _reference_parse_lines(data):
+    """The table in `data` read one line at a time, as the earlier per-line
+    loader read it; an error names the line. (That loader echoed 80
+    characters of a malformed header, which could make a message of 365
+    bytes; both now echo 60.)"""
+    text = data.decode("latin-1")
+    crlf = text.find("\r\n")
+    if crlf >= 0:
+        lineno = text.count("\n", 0, crlf) + 1
+        raise ValueError(f"line {lineno}: file has CRLF line endings; use LF")
+    lines = text.split("\n")
+    if not lines[0]:
+        raise ValueError("line 1: missing table header")
+    header = rainbow_table._HEADER_RE.match(lines[0])
+    if header is None:
+        more = "..." if len(lines[0]) > 60 else ""
+        raise ValueError(f"line 1: malformed table header: {lines[0][:60]!r}{more}")
+    version = int(header.group(1))
+    if version != rainbow_table.TABLE_VERSION:
+        raise ValueError(f"line 1: unsupported table version v{version}")
+    seed = int(header.group(2))
+    if seed > 2**64 - 1:
+        raise ValueError(f"line 1: permutation seed {seed} does not fit in 64 bits")
+
+    body = lines[1:]
+    if body and body[-1] == "":
+        body = body[:-1]
+    starts, ends = [], []
+    for lineno, line in enumerate(body, start=2):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected exactly one tab separator")
+        start, end = parts
+        rainbow_table._check_row(start, end, f"line {lineno}")
+        starts.append(start)
+        ends.append(end)
+    if not starts:
+        raise ValueError("table has no chains")
+    return RainbowTable(starts, ends, seed)
+
+
 def _assert_loaders_agree(data):
-    # load_table takes the vectorized path's table, else the per-line path's
-    # table or message; the vectorized path declines a file the per-line
-    # path accepts only when the file lacks its final newline
+    # load_table returns the per-line reference's table or raises its message
     try:
-        expected = rainbow_table._parse_lines(data)
+        expected = _reference_parse_lines(data)
     except ValueError as exc:
         expected = str(exc)
-    fast = rainbow_table._parse_valid(data)
-    if fast is not None:
-        assert fast == expected
-    else:
-        assert isinstance(expected, str) or not data.endswith(b"\n")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.txt")
         with open(path, "wb") as fh:
@@ -259,6 +297,93 @@ def test_vectorized_and_per_line_loaders_agree(data):
 )
 def test_loaders_agree_at_each_edge(data):
     _assert_loaders_agree(data)
+
+
+# a table line is what lies between two newlines, so it holds none
+TABLE_LINES = st.one_of(
+    VALID_LINES, EDGE_LINES, st.sampled_from(CLASS_EDGES), st.binary(max_size=8)
+).map(lambda line: line.decode("latin-1")).filter(lambda line: "\n" not in line)
+
+
+@given(TABLE_LINES)
+def test_row_pattern_accepts_exactly_the_lines_the_row_rule_accepts(line):
+    try:
+        rainbow_table._check_line(line, 2)
+    except ValueError:
+        is_row = False
+    else:
+        is_row = True
+    assert (rainbow_table._NO_ROW_AFTER_RE.match("\n" + line + "\n") is None) == is_row
+
+
+def _lines_file(lines):
+    """File bytes: the lines joined by LF or CRLF, with or without a final LF."""
+    return st.builds(
+        lambda lines, sep, last: sep.join(lines) + last,
+        st.lists(lines, max_size=5),
+        st.sampled_from([b"\n", b"\r\n"]),
+        st.sampled_from([b"", b"\n"]),
+    )
+
+
+PASSWORD_MD5 = md5_hex("password")
+WORDLISTS = st.one_of(
+    _lines_file(st.one_of(st.sampled_from([b"password", b"monkey", b""]), st.binary(max_size=10))),
+    st.binary(max_size=100),
+)
+HASHES_FILES = st.one_of(
+    _lines_file(
+        st.one_of(
+            st.sampled_from([PASSWORD_MD5.encode(), PASSWORD_MD5.upper().encode(), b""]),
+            st.binary(max_size=34),
+        )
+    ),
+    st.binary(max_size=100),
+)
+# the messages about a whole file, which name no line
+WHOLE_FILE_ERRORS = {"wordlist is empty", "table has no chains"}
+# the line prefixes a content error may carry, by the files each command reads
+LINE_PREFIXES = {
+    "generate": r"wordlist line \d+: ",
+    "crack": r"line \d+: ",
+    "compare": r"(hashes )?line \d+: ",
+}
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(sorted(LINE_PREFIXES)),
+    WORDLISTS,
+    st.one_of(FUZZED_TABLES, EDGE_TABLES),
+    HASHES_FILES,
+)
+# a long header line of bytes that repr escapes as 4 characters each
+@example(command="crack", wordlist=b"", table=b"\x00" * 200, hashes=b"")
+def test_cli_input_files_fail_only_with_one_line_naming_error(command, wordlist, table, hashes):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, data in [("wordlist", wordlist), ("table", table), ("hashes", hashes)]:
+            paths[name] = os.path.join(tmp, name)
+            with open(paths[name], "wb") as fh:
+                fh.write(data)
+        argv = {
+            "generate": ["--wordlist", paths["wordlist"], "--out", os.path.join(tmp, "out")],
+            "crack": ["--table", paths["table"], PASSWORD_MD5],
+            "compare": ["--table", paths["table"], "--hashes", paths["hashes"]],
+        }[command]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, *argv])
+    assert code in (0, 1, 2)
+    if code != 2:
+        return
+    # under 300 bytes in any stderr encoding: a non-ASCII character takes at
+    # most 4 bytes, as a backslash escape
+    stderr = err.getvalue()
+    assert len(stderr.encode("ascii", "backslashreplace")) < 300
+    assert stderr.startswith("error: ") and stderr.endswith("\n") and stderr.count("\n") == 1
+    message = stderr[len("error: "):-1]
+    assert message in WHOLE_FILE_ERRORS or re.match(LINE_PREFIXES[command], message)
 
 
 @given(st.lists(BASE62_ENDS, min_size=1, max_size=40))

@@ -288,6 +288,9 @@ def test_load_accepts_largest_seed(specs, tmp_path):
         ("QIRIS v1 seed=44 chain=R1,R2,R3,R4\nhas space\tabc\n", "line 2: .* whitespace"),
         ("QIRIS v1 seed=44 chain=R1,R2,R3,R4\r\nfoo\tabc\r\n", "line 1: .* CRLF"),
         ("QIRIS v1 seed=44 chain=R1,R2,R3,R4\nfoo\tabc\nbar\tabc\r\n", "line 3: .* CRLF"),
+        # the first bad row is named, not a later one
+        ("QIRIS v1 seed=44 chain=R1,R2,R3,R4\nfoo\tabc\nbar\tab\nb z\tabc\n", "line 3: end"),
+        ("QIRIS v1 seed=44 chain=R1,R2,R3,R4\nfoo\tabc\nbar\tab!", "line 3: end"),
     ],
 )
 def test_load_rejects_malformed_files(content, fragment, tmp_path):
