@@ -14,6 +14,7 @@ from .prng import MASK64
 from .rainbow_table import (
     BUCKET_WIDTH,
     _check_plaintext,
+    _clip,
     _permutation,
     _read_text,
     build_buckets,
@@ -56,35 +57,23 @@ def _read_hashes(path):
     return digests
 
 
-def _load_search_context(table_path):
-    table = load_table(table_path)
-    return table, build_buckets(table)
-
-
-def _search_config(args) -> SearchConfig:
-    return SearchConfig(
-        shots=args.shots,
-        classical_threshold=args.classical_threshold,
-        rng_seed=args.rng_seed,
-    )
-
-
 def cmd_generate(args) -> int:
     if not 0 <= args.perm_seed <= MASK64:
-        raise ValueError(f"--perm-seed must be in 0..{MASK64}, got {args.perm_seed}")
+        raise ValueError(f"--perm-seed must be in 0..{MASK64}, got {_clip(args.perm_seed)}")
     words = _read_wordlist(args.wordlist)
     perm, _ = _permutation(args.perm_seed)
     table = generate_table(words, canonical_reduction_specs(), perm)
     save_table(table, args.out)
     print(f"chains={len(table.starts)}")
-    print(f"buckets={sum(1 for m in build_buckets(table).counts if m)}")
+    print(f"buckets={sum(1 for mask in build_buckets(table).masks if mask)}")
     return EXIT_OK
 
 
 def cmd_crack(args) -> int:
     digest = normalize_digest(args.hash)
-    cfg = _search_config(args)
-    table, index = _load_search_context(args.table)
+    cfg = SearchConfig(args.shots, args.classical_threshold, args.rng_seed)
+    table = load_table(args.table)
+    index = build_buckets(table)
     report = crack(digest, table, index, index.perm, canonical_reduction_specs(), cfg)
     if report.result is not None:
         print(report.result)
@@ -99,8 +88,9 @@ def cmd_crack(args) -> int:
 
 def cmd_compare(args) -> int:
     digests = _read_hashes(args.hashes)
-    cfg = _search_config(args)
-    table, index = _load_search_context(args.table)
+    cfg = SearchConfig(args.shots, args.classical_threshold, args.rng_seed)
+    table = load_table(args.table)
+    index = build_buckets(table)
     specs = canonical_reduction_specs()
     print(COMPARE_CSV_HEADER)
     all_agree = True
@@ -109,25 +99,21 @@ def cmd_compare(args) -> int:
         classical, scanned = crack_classical_scan(digest, table, specs)
         agree = report.result == classical
         all_agree = all_agree and agree
-        row = (
-            digest,
-            _bool_str(report.result is not None),
-            _bool_str(classical is not None),
-            _bool_str(agree),
-            str(report.grover_invocations),
-            str(report.grover_iterations_total),
-            str(scanned),
-        )
-        print(",".join(row))
+        found = (report.result is not None, classical is not None, agree)
+        counts = (report.grover_invocations, report.grover_iterations_total, scanned)
+        print(",".join([digest, *(str(flag).lower() for flag in found), *map(str, counts)]))
     return EXIT_OK if all_agree else EXIT_NOT_FOUND
 
 
-def _bool_str(value: bool) -> str:
-    return "true" if value else "false"
+class _Parser(argparse.ArgumentParser):
+    """Raises its usage errors, as do its subparsers (`parser_class`), for `main` to report."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qiris",
         description="Rainbow-table MD5 cracking with a simulated quantum bucket search.",
     )
@@ -174,11 +160,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a message may echo any input; bounded, it is one line under 300 bytes
+        print(f"error: {_clip(str(exc), 280)}", file=sys.stderr)
         return EXIT_USAGE
 
 

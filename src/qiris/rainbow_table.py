@@ -5,16 +5,15 @@ starting plaintexts and the final 3-character reductions. `table.chains`
 views the columns as `Chain` rows without storing any. Each table also
 derives, once, a packed end column: one uint32 per row holding the end's 3
 bytes and a newline, which the bucket index hashes. The classical baseline
-scans the ends as a string of one character per row, so that the rows
-ending in a text are found by an O(N) single-character `str.find`, which
-CPython runs as one wmemchr call over the column. A table file is checked
-by one search of a row pattern over its body and split in one call; the
-first line the pattern refuses goes to the per-line row check, which makes
-the error. The bucket index Pearson-hashes all chain ends at once into
-16-bit values whose high 12 bits select a bucket and whose low 4 bits are
-the residues searched at crack time. It keeps the end hashes sorted, so the
-rows ending in a given hash are found by binary search, and the number of
-distinct residues in each of the 4096 buckets.
+finds the rows ending in a text by one O(N) `str.find` over a string of one
+character per row. A table file is checked by one search of a row pattern
+over its body and split in one call; the first line the pattern refuses
+goes to the per-line row check, which makes the error. The bucket index
+Pearson-hashes all chain ends at once into 16-bit values whose high 12 bits
+select a bucket and whose low 4 bits are the residues searched at crack
+time. It keeps the end hashes sorted, so the rows ending in a given hash
+are found by binary search, and one 16-bit mask per bucket: bit r of
+bucket k's mask is set when some end hashes to 16k + r.
 """
 
 import hashlib
@@ -171,30 +170,27 @@ def _end_point(end: str) -> str:
 
 @dataclass
 class BucketIndex:
-    """Bucket sizes and residues plus a sorted end-hash index over the table's rows.
+    """One residue mask per bucket plus a sorted end-hash index over the table's rows.
 
     `hashes` holds every row's end hash in ascending order and `rows` the
     row id at the same position; rows sharing a hash stay in ascending
-    order. `counts` holds the number of distinct residues under each of the
-    4096 12-bit bucket keys, 0 for an empty bucket, and `present[h]` is 1
-    when some row's end hash is h, else 0 (65536 bytes). `perm` is the
-    permutation that hashed the ends, and the one `crack` must hash its
-    candidates with.
+    order. `masks` holds one 16-bit mask for each of the 4096 12-bit bucket
+    keys: bit r of `masks[k]` is set when some row's end hash is 16k + r, so
+    a bucket's size m is its mask's bit count, 0 for an empty bucket. `perm`
+    is the permutation that hashed the ends, and the one `crack` must hash
+    its candidates with.
     """
 
     hashes: array
     rows: array
-    counts: list
-    present: bytes
+    masks: array
     perm: PearsonPermutation
 
     @property
     def buckets(self) -> dict:
-        """Each non-empty bucket key mapped to its distinct residues, ascending."""
-        buckets = {}
-        for h in dict.fromkeys(self.hashes):
-            buckets.setdefault(h // BUCKET_WIDTH, []).append(h % BUCKET_WIDTH)
-        return buckets
+        """Each non-empty bucket key mapped to its residues, ascending."""
+        masks = enumerate(self.masks)
+        return {k: [r for r in range(BUCKET_WIDTH) if m >> r & 1] for k, m in masks if m}
 
     def rows_for(self, h: int) -> list:
         """All row ids whose end hash equals `h`, in ascending order; O(log N)."""
@@ -217,6 +213,17 @@ def generate_table(wordlist, specs, perm: PearsonPermutation) -> RainbowTable:
     else:
         ends = list(starts)
     return RainbowTable(starts, ends, perm.seed)
+
+
+def _clip(value, limit: int = 60) -> str:
+    """`value` as an error message echoes it: whole if it is printable and at
+    most `limit` characters backslash-escaped, else its first `limit` escaped
+    characters and "..." if any were cut."""
+    text = str(value)
+    escaped = text.encode("unicode_escape").decode("ascii")
+    if text.isprintable() and len(escaped) <= limit:
+        return text
+    return escaped[:limit] + ("..." if len(escaped) > limit else "")
 
 
 def _check_plaintext(text: str, where: str) -> None:
@@ -292,10 +299,10 @@ def build_buckets(table: RainbowTable) -> BucketIndex:
 
     The ends are hashed with the permutation for the table's seed, three
     gathers through it over all rows at once, bit-identical to pearson16.
-    Each distinct end hash h becomes residue h % 16 under bucket key
-    h // 16. The sorted index costs 6 bytes per row. The permutation comes
-    from a one-entry memo, so indexes built one after another over one seed
-    share one permutation object and one build.
+    Each end hash h sets bit h % 16 of the mask under bucket key h // 16.
+    The sorted index costs 6 bytes per row and the masks 8 KB. The
+    permutation comes from a one-entry memo, so indexes built one after
+    another over one seed share one permutation object and one build.
     """
     perm, lookup = _permutation(table.perm_seed)
     codes = table.end_codes.view(np.uint8).reshape(-1, 4)
@@ -306,11 +313,12 @@ def build_buckets(table: RainbowTable) -> BucketIndex:
     order = np.argsort(hashes, kind="stable")
     seen = np.zeros(1 << 16, bool)
     seen[hashes] = True
+    # little-endian bits: seen[16k + r] lands in bit r of the k-th 16-bit word
+    masks = np.packbits(seen, bitorder="little").view("<u2").astype(np.uint16)
     return BucketIndex(
         hashes=array("H", hashes[order].tobytes()),
         rows=array("i", order.astype(np.intc).tobytes()),
-        counts=seen.reshape(-1, BUCKET_WIDTH).sum(1).tolist(),
-        present=seen.tobytes(),
+        masks=array("H", masks.tobytes()),
         perm=perm,
     )
 
@@ -327,7 +335,10 @@ def save_table(table: RainbowTable, path) -> None:
     if not 0 <= table.perm_seed <= MASK64:
         raise ValueError(f"permutation seed {table.perm_seed} is outside 0..{MASK64}")
     for pos, (start, end) in enumerate(zip(table.starts, table.ends)):
-        _check_row(start, end, f"table.chains[{pos}]")
+        try:
+            _check_row(start, end, "")
+        except ValueError:  # name the refused row; its location is formatted only here
+            _check_row(start, end, f"table.chains[{pos}]")
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(f"QIRIS v{TABLE_VERSION} seed={table.perm_seed} chain=R1,R2,R3,R4\n")
         for start, end in zip(table.starts, table.ends):

@@ -1,13 +1,13 @@
 """Hybrid crack procedure and its classical baseline.
 
 For each chain suffix the query hash is reduced to a candidate end plaintext.
-The quantum path reads the size of the candidate's bucket to pick the probe
-and whether the candidate's 4-bit residue is present, and only then looks up
-the rows ending in the candidate's hash in the sorted end-hash index; the
-classical baseline compares the candidate with every chain end instead, one
-O(N) scan of the table's end column per suffix. Any hit is verified
-by rebuilding the chain and comparing MD5 digests, so both paths only ever
-return true preimages. The simulated Grover vote is checked once per config:
+The quantum path reads the candidate's bucket mask, whose bit count picks
+the probe and whose bit at the 4-bit residue is its presence, and only then
+looks up the candidate's hash in the sorted end-hash index; the classical
+baseline compares the candidate with every chain end instead, one O(N) scan
+of the table's end column per suffix. Any hit is verified by rebuilding the
+chain and comparing MD5 digests, so both paths only ever return true
+preimages. The simulated Grover vote is checked once per config:
 `SearchConfig` refuses one whose vote rejects a present residue in a bucket
 it sends to Grover. An absent residue never receives a shot, so for an
 accepted config the vote is membership, and `crack` decides every probe by
@@ -27,7 +27,7 @@ from .hashing import (
 )
 from .prng import MASK64
 from .quantum_sim import DEFAULT_SHOTS, grover_decisions, grover_iterations
-from .rainbow_table import BUCKET_WIDTH, BucketIndex, RainbowTable
+from .rainbow_table import BUCKET_WIDTH, BucketIndex, RainbowTable, _clip
 
 # the decision table is built in time linear in shots: about 0.5 s at 2^24
 MAX_SHOTS = 1 << 24
@@ -48,16 +48,16 @@ class SearchConfig:
 
     def __post_init__(self):
         if not 1 <= self.shots <= MAX_SHOTS:
-            raise ValueError(f"shots (--shots) must be in 1..{MAX_SHOTS}, got {self.shots}")
+            raise ValueError(f"shots (--shots) must be in 1..{MAX_SHOTS}, got {_clip(self.shots)}")
         if not 2 <= self.classical_threshold <= BUCKET_WIDTH:
             raise ValueError(
                 "classical_threshold (--classical-threshold) must be in "
-                f"2..{BUCKET_WIDTH}, got {self.classical_threshold}: below 2, an m = 2 "
+                f"2..{BUCKET_WIDTH}, got {_clip(self.classical_threshold)}: below 2, an m = 2 "
                 "bucket gets one Grover round, which is right with probability 1/2"
             )
         if not 0 <= self.rng_seed <= MASK64:
             raise ValueError(
-                f"rng_seed (--rng-seed) must be in 0..{MASK64}, got {self.rng_seed}"
+                f"rng_seed (--rng-seed) must be in 0..{MASK64}, got {_clip(self.rng_seed)}"
             )
         # at threshold 16 no probe runs Grover, and no table is built
         if self.classical_threshold < BUCKET_WIDTH:
@@ -115,9 +115,9 @@ def crack(
     plaintext match and then rebuilt, so 16-bit hash collisions cannot cause
     false positives or mask recoverable entries. Each suffix increments
     exactly one of bucket_misses, classical_fallbacks, grover_invocations.
-    Every probe is decided by membership, whether any row ends in the
-    candidate's hash (`buckets.present`): `cfg` was accepted only because
-    its Grover vote agrees with membership (see `SearchConfig`).
+    Each probe reads one bucket mask: 0 is a miss, its bit count is m, and
+    its bit at the residue decides the probe by membership: `cfg` was
+    accepted only because its vote agrees with membership (`SearchConfig`).
     An index whose row count or seed differs from the table's is refused.
     """
     query = normalize_digest(hash_hex)
@@ -137,16 +137,17 @@ def crack(
         report.chains_examined = i
         text = walk_chain(raw, specs[n - i:])
         h = pearson16(text, perm)
-        m = buckets.counts[h // BUCKET_WIDTH]
-        if m == 0:
+        mask = buckets.masks[h // BUCKET_WIDTH]
+        if mask == 0:
             report.bucket_misses += 1
             continue
+        m = mask.bit_count()
         if m <= cfg.classical_threshold:
             report.classical_fallbacks += 1
         else:
             report.grover_invocations += 1
             report.grover_iterations_total += grover_iterations(m)
-        if not buckets.present[h]:
+        if not mask >> h % BUCKET_WIDTH & 1:
             continue
         for row in buckets.rows_for(h):
             if table.ends[row] != text:

@@ -450,10 +450,41 @@ def test_compare_names_the_bad_hashes_line(workspace, tmp_path, capsys, body, fr
     assert fragment in captured.err
 
 
-def test_usage_errors_exit_2():
-    assert run_cli([]) == 2
-    assert run_cli(["frobnicate"]) == 2
-    assert run_cli(["crack", md5_hex("a")]) == 2  # missing --table
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "the following arguments are required: command"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["crack", md5_hex("a")], "the following arguments are required: --table"),
+        (
+            ["crack", "--table", "x", "--shots", "abc", md5_hex("a")],
+            "argument --shots: invalid int value: 'abc'",
+        ),
+        (
+            ["crack", "--table", "x", "--no-quantum", "--classical-threshold", "3", md5_hex("a")],
+            "argument --classical-threshold: not allowed with argument --no-quantum",
+        ),
+        (["compare"], "the following arguments are required: --table, --hashes"),
+        (
+            ["crack", "--table", "x", md5_hex("a"), "--frobnicate"],
+            "unrecognized arguments: --frobnicate",
+        ),
+    ],
+)
+def test_usage_errors_exit_2(capsys, argv, message):
+    # argparse's errors are main's one error line, with no usage block before it
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["crack", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qiris")
 
 
 # sha256 of the table file `generate` writes from a seeded 20,000-word list,

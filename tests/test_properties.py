@@ -1,6 +1,6 @@
-"""Property-based checks of the chain walk, the end-hash index, the hybrid
-crack, the Grover decision table, the permutation, the SplitMix64 stream,
-the table file and the CLI's input files."""
+"""Property-based checks of the chain walk, the end-hash index and bucket
+masks, the hybrid crack, the Grover decision table, the permutation, the
+SplitMix64 stream, the table file, and the CLI's input files and flags."""
 
 import contextlib
 import hashlib
@@ -377,13 +377,105 @@ def test_cli_input_files_fail_only_with_one_line_naming_error(command, wordlist,
     assert code in (0, 1, 2)
     if code != 2:
         return
-    # under 300 bytes in any stderr encoding: a non-ASCII character takes at
-    # most 4 bytes, as a backslash escape
     stderr = err.getvalue()
-    assert len(stderr.encode("ascii", "backslashreplace")) < 300
-    assert stderr.startswith("error: ") and stderr.endswith("\n") and stderr.count("\n") == 1
+    _assert_one_error_line(stderr)
     message = stderr[len("error: "):-1]
     assert message in WHOLE_FILE_ERRORS or re.match(LINE_PREFIXES[command], message)
+
+
+def _assert_one_error_line(stderr):
+    # under 300 bytes in any stderr encoding: a non-ASCII character takes at
+    # most as many bytes as its backslash escape
+    assert len(stderr.encode("ascii", "backslashreplace")) < 300
+    assert stderr.startswith("error: ") and stderr.endswith("\n") and stderr.count("\n") == 1
+
+
+# each integer flag's bounds and the values just past them, 64-bit and
+# 400-digit values, then values that are not integers, among them ones that
+# are long or hold control, non-ASCII and astral characters
+INT_BOUNDS = [0, 1, 2, 16, 17, 2**24, 2**24 + 1, 2**64 - 1, 2**64]
+INT_BOUNDS += [-1, -(2**64), 10**399, -(10**399)]
+NOT_INTS = ["", "abc", "1.5", "0x10", "1e3", "-x", "1\n2", "\x00", "\xe9", "\U0001f600" * 30]
+INT_VALUES = st.sampled_from([str(b) for b in INT_BOUNDS] + NOT_INTS)
+# an accepted --shots value builds the decision table in time linear in it,
+# about 0.5 s at the 2^24 cap, so accepted values stay at or below 4096
+SHOTS_VALUES = st.sampled_from([str(b) for b in INT_BOUNDS if b != 2**24] + ["4096"] + NOT_INTS)
+# <name> stands for a file the test makes; "9" * 400 is a name too long to open
+PATHS = st.sampled_from(["<missing>", "<dir>", "", "9" * 400])
+SEARCH_FLAGS = [
+    ("--shots", SHOTS_VALUES),
+    ("--rng-seed", INT_VALUES),
+    ("--classical-threshold", INT_VALUES),
+    ("--no-quantum", None),
+]
+# each command's arguments: a flag and its values (None for a flag that takes
+# none), or a positional and its values
+CLI_ARGUMENTS = {
+    "generate": [
+        ("--wordlist", st.one_of(st.just("<wordlist>"), PATHS)),
+        ("--out", st.one_of(st.just("<out>"), PATHS)),
+        ("--perm-seed", INT_VALUES),
+    ],
+    "crack": [
+        ("--table", st.one_of(st.just("<table>"), PATHS)),
+        *SEARCH_FLAGS,
+        ("--report", None),
+        ("", st.sampled_from([PASSWORD_MD5, md5_hex("not in the table"), "abc", "", "f" * 400])),
+    ],
+    "compare": [
+        ("--table", st.one_of(st.just("<table>"), PATHS)),
+        ("--hashes", st.one_of(st.just("<hashes>"), PATHS)),
+        *SEARCH_FLAGS,
+    ],
+}
+# drawn once far more often than left out or given twice
+REQUIRED_ARGUMENTS = {"--wordlist", "--out", "--table", "--hashes", ""}
+UNKNOWN_ARGUMENTS = st.sampled_from(
+    [["--frobnicate"], ["-x", "1"], ["--r", "5"], ["--no-quantum=1"], ["--"], ["a\nb"], ["-h1"]]
+)
+
+
+@st.composite
+def cli_argvs(draw):
+    """A command and its arguments in any order, each left out, given once or
+    given twice, and sometimes an argument no command takes."""
+    command = draw(st.sampled_from(sorted(CLI_ARGUMENTS)))
+    pieces = draw(st.lists(UNKNOWN_ARGUMENTS, max_size=1))
+    for name, values in CLI_ARGUMENTS[command]:
+        counts = [1, 0, 2] if name in REQUIRED_ARGUMENTS else [0, 0, 1, 2]
+        for _ in range(draw(st.sampled_from(counts))):
+            value = [] if values is None else [draw(values)]
+            pieces.append([name, *value] if name else value)
+    return [command, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+@pytest.fixture(scope="module")
+def cli_paths(tmp_path_factory, words100, specs, perm44):
+    root = tmp_path_factory.mktemp("flags")
+    paths = {name: root / name for name in ("wordlist", "table", "hashes", "out", "missing")}
+    paths["wordlist"].write_text("\n".join(words100[:20]) + "\n", encoding="ascii")
+    save_table(generate_table(words100[:20], specs, perm44), paths["table"])
+    paths["hashes"].write_text(f"{PASSWORD_MD5}\n{md5_hex('not in the table')}\n")
+    paths["dir"] = root
+    return {f"<{name}>": str(path) for name, path in paths.items()}
+
+
+@settings(deadline=None)
+@given(cli_argvs())
+@example(["crack", "--table", "<table>", "--report", md5_hex("not in the table")])
+@example(["crack", "--table", "<table>", "--shots", "9" * 400, PASSWORD_MD5])
+@example(["generate", "--wordlist", "<wordlist>", "--out", "<out>", "--perm-seed", "-" + "9" * 400])
+def test_cli_flags_exit_0_1_or_2_with_one_short_error_line(cli_paths, argv):
+    argv = [cli_paths.get(token, token) for token in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            raise AssertionError(f"SystemExit({exc.code}) escaped main") from None
+    assert code in (0, 1, 2)
+    if code == 2:
+        _assert_one_error_line(err.getvalue())
 
 
 @given(st.lists(BASE62_ENDS, min_size=1, max_size=40))
@@ -393,11 +485,33 @@ def test_index_hashes_are_pearson16(perm44, ends):
     assert list(index.hashes) == sorted(hashes)
     assert [hashes[row] for row in index.rows] == sorted(hashes)
     sizes = Counter(h // BUCKET_WIDTH for h in set(hashes))
-    assert index.counts == [sizes[key] for key in range(4096)]
-    present = bytearray(len(index.present))
-    for h in hashes:
-        present[h] = 1
-    assert index.present == present
+    assert [mask.bit_count() for mask in index.masks] == [sizes[key] for key in range(4096)]
+
+
+def _buckets_from_hashes(hashes):
+    """Each bucket key of the sorted `hashes` mapped to its distinct residues,
+    ascending: index.buckets as it was derived from the end-hash index."""
+    buckets = {}
+    for h in dict.fromkeys(hashes):
+        buckets.setdefault(h // BUCKET_WIDTH, []).append(h % BUCKET_WIDTH)
+    return buckets
+
+
+@given(
+    st.lists(BASE62_ENDS, min_size=1, max_size=40),
+    st.lists(st.integers(0, 255), max_size=40),
+)
+def test_masks_mark_exactly_the_end_hashes(perm44, reachable_hashes, end_for_hash, ends, near):
+    # `near` adds ends among the 256 lowest hashes that seed 44 reaches, so
+    # that masks with many bits set are drawn too
+    ends = ends + [end_for_hash[reachable_hashes[i]] for i in near]
+    index = build_buckets(RainbowTable([f"w{i}" for i in range(len(ends))], ends, 44))
+    masks = [0] * 4096
+    for end in ends:
+        h = pearson16(end, perm44)
+        masks[h // BUCKET_WIDTH] |= 1 << h % BUCKET_WIDTH
+    assert index.masks.typecode == "H" and index.masks.tolist() == masks
+    assert list(index.buckets.items()) == list(_buckets_from_hashes(index.hashes).items())
 
 
 @given(st.data(), st.lists(END_HASHES, max_size=5))

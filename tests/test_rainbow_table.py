@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from array import array
 from collections import Counter
 from collections.abc import Sequence
 
@@ -130,9 +131,11 @@ def test_bucket_reconstruction_roundtrip(table100, buckets100, perm44):
     }
     assert rebuilt == set(end_hashes)
     assert Counter(buckets100.hashes) == Counter(end_hashes)
-    buckets = buckets100.buckets
-    assert buckets100.counts == [len(buckets.get(k, ())) for k in range(4096)]
-    assert [h for h, seen in enumerate(buckets100.present) if seen] == sorted(set(end_hashes))
+    buckets, masks = buckets100.buckets, buckets100.masks
+    assert isinstance(masks, array) and masks.typecode == "H" and len(masks) == 4096
+    assert [mask.bit_count() for mask in masks] == [len(buckets.get(k, ())) for k in range(4096)]
+    marked = [h for h in range(1 << 16) if masks[h // BUCKET_WIDTH] >> h % BUCKET_WIDTH & 1]
+    assert marked == sorted(set(end_hashes))
 
 
 @pytest.mark.parametrize(

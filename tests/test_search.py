@@ -31,13 +31,9 @@ def test_membership_classical(perm44, specs):
     table = generate_table(["password"], specs, perm44)
     index = build_buckets(table)
     h = index.hashes[0]
-    counts = list(index.counts)
-    counts[h // BUCKET_WIDTH] = 2
-    present = bytearray(len(index.present))
-    present[h ^ 1] = present[h ^ 2] = 1
-    other = dataclasses.replace(
-        index, hashes=array("H", [h ^ 1]), counts=counts, present=bytes(present)
-    )
+    masks = array("H", index.masks)
+    masks[h // BUCKET_WIDTH] = 1 << (h ^ 1) % BUCKET_WIDTH | 1 << (h ^ 2) % BUCKET_WIDTH
+    other = dataclasses.replace(index, hashes=array("H", [h ^ 1]), masks=masks)
     query = md5_hex("password")
     found = crack(query, table, index, perm44, specs, NO_QUANTUM)
     missed = crack(query, table, other, perm44, specs, NO_QUANTUM)
