@@ -18,7 +18,6 @@ from .hashing import (
     reduce,
     walk_chain,
 )
-from .prng import SplitMix64
 from .quantum_sim import (
     GroverOutcome,
     apply_oracle,
@@ -59,7 +58,6 @@ __all__ = [
     "ReductionSpec",
     "SearchConfig",
     "SearchReport",
-    "SplitMix64",
     "apply_oracle",
     "build_buckets",
     "build_permutation",

@@ -105,6 +105,20 @@ def cmd_compare(args) -> int:
     return EXIT_OK if all_agree else EXIT_NOT_FOUND
 
 
+def _int(text: str) -> int:
+    """An integer flag value: an optional "-" and ASCII digits, nothing else.
+
+    int() alone would also take spaces, "_", "+" and non-ASCII digits.
+    Every refusal is argparse's message for a refused int.
+    """
+    if text.isascii() and text.removeprefix("-").isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past int()'s digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises its usage errors, as do its subparsers (`parser_class`), for `main` to report."""
 
@@ -122,16 +136,16 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="precompute a table from a wordlist")
     gen.add_argument("--wordlist", required=True, help="one plaintext per line")
     gen.add_argument("--out", required=True, help="table file to write")
-    gen.add_argument("--perm-seed", type=int, default=DEFAULT_PERM_SEED)
+    gen.add_argument("--perm-seed", type=_int, default=DEFAULT_PERM_SEED)
     gen.set_defaults(func=cmd_generate)
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--table", required=True, help="table file from `generate`")
-    common.add_argument("--shots", type=int, default=SearchConfig.shots)
-    common.add_argument("--rng-seed", type=int, default=SearchConfig.rng_seed)
+    common.add_argument("--shots", type=_int, default=SearchConfig.shots)
+    common.add_argument("--rng-seed", type=_int, default=SearchConfig.rng_seed)
     routing = common.add_mutually_exclusive_group()
     routing.add_argument(
-        "--classical-threshold", type=int, default=SearchConfig.classical_threshold
+        "--classical-threshold", type=_int, default=SearchConfig.classical_threshold
     )
     routing.add_argument(
         "--no-quantum",

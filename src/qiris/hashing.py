@@ -88,11 +88,11 @@ def normalize_digest(hex_digest: str) -> str:
 def build_permutation(seed: int = DEFAULT_PERM_SEED) -> PearsonPermutation:
     """Fisher-Yates shuffle of 0..65534 driven by the SplitMix64 stream for `seed`.
 
-    The shuffle walks indices 65534 down to 1, swapping each with
-    next_u64() % (i + 1), so the table is reproducible bit-for-bit from the
-    seed alone. The draws are computed in numpy, a chunk at a time: the
-    stream is counter-based, so draw k + 1 onward is the block for seed
-    + k*gamma.
+    The shuffle walks indices 65534 down to 1, swapping each with the
+    stream's next output % (i + 1), so the table is reproducible
+    bit-for-bit from the seed alone. The draws are computed in numpy, a
+    chunk at a time: the stream is counter-based, so draw k + 1 onward is
+    the block for seed + k*gamma.
     """
     seed = seed & MASK64
     table = list(range(PERMUTATION_SIZE))
@@ -125,16 +125,15 @@ def reduce(hex_digest: str, spec: ReductionSpec) -> str:
     The first 8 hex characters are read as an integer, `spec.nonce` is added,
     and successive base62 digits are peeled off least-significant first.
     """
-    digest = normalize_digest(hex_digest)
-    return _base62(int(digest[:8], 16) + spec.nonce, spec.length)
+    return walk_chain(bytes.fromhex(normalize_digest(hex_digest)), (spec,))
 
 
 def walk_chain(digest: bytes, specs) -> str:
     """Reduce a raw MD5 `digest` through the non-empty sequence `specs`.
 
     MD5 is applied between reductions but not after the last one, whose
-    plaintext is returned. Each step equals `reduce(digest.hex(), spec)`;
-    the digest stays raw bytes, so no hex is formatted or checked.
+    plaintext is returned. The digest stays raw bytes, so no hex is
+    formatted or checked; `reduce` is the one-step walk from a hex digest.
     """
     if not specs:
         raise ValueError("a chain walk needs at least one reduction")

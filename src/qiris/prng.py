@@ -9,26 +9,12 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-class SplitMix64:
-    """SplitMix64 generator; bit-exact on every platform for a given seed."""
-
-    def __init__(self, seed: int):
-        self.state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + GAMMA) & MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-        return (z ^ (z >> 31)) & MASK64
-
-
 def splitmix64_block(seed: int, count: int) -> np.ndarray:
     """First `count` outputs of the stream for `seed`, as a uint64 array.
 
     The generator is counter-based (output k is a pure function of
     seed + k*gamma), so this vectorized form reproduces the sequential
-    next_u64() stream exactly.
+    generator's stream exactly.
     """
     ks = np.arange(1, count + 1, dtype=np.uint64)
     z = np.uint64(seed & MASK64) + ks * np.uint64(GAMMA)

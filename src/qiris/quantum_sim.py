@@ -32,9 +32,6 @@ import numpy as np
 from .prng import GAMMA, MASK64, unit_floats
 from .rainbow_table import BUCKET_WIDTH
 
-# one basis state per residue of a bucket, so grover_decisions covers every
-# bucket size that SearchConfig and the crack path can meet
-DEFAULT_DIMENSION = BUCKET_WIDTH
 DEFAULT_SHOTS = 1024
 
 # The shot stream is drawn and sorted in chunks of at most this many samples
@@ -54,7 +51,7 @@ class GroverOutcome:
     decision: bool
 
 
-def prepare_state(marked, dimension: int = DEFAULT_DIMENSION) -> np.ndarray:
+def prepare_state(marked, dimension: int = BUCKET_WIDTH) -> np.ndarray:
     """Unit statevector with amplitude 1/sqrt(m) on each of the m marked indices.
 
     Equivalent to writing a 0/1 mask over the basis states and dividing by
@@ -156,7 +153,7 @@ def _evolve(members: set, target: int, dimension: int) -> tuple:
 def grover_search(
     marked,
     target: int,
-    dimension: int = DEFAULT_DIMENSION,
+    dimension: int = BUCKET_WIDTH,
     shots: int = DEFAULT_SHOTS,
     *,
     rng_seed: int,
@@ -188,7 +185,7 @@ def grover_search(
 def grover_decisions(shots: int, rng_seed: int) -> MappingProxyType:
     """Decision of every search for the rank-th smallest (from 0) of m marked states.
 
-    Maps each (m, rank) with 1 <= m <= DEFAULT_DIMENSION to
+    Maps each (m, rank) with 1 <= m <= BUCKET_WIDTH to
     `grover_search(marked, sorted(marked)[rank], ...).decision`, which is the
     same for any m distinct marked states: unmarked amplitudes are exactly 0
     throughout, the other marked amplitudes stay equal, and the CDF meets
@@ -196,8 +193,8 @@ def grover_decisions(shots: int, rng_seed: int) -> MappingProxyType:
     search over range(m) with index j relabelled to the j-th marked state.
     The mapping is read-only, as every caller shares it.
     """
-    keys = [(m, rank) for m in range(1, DEFAULT_DIMENSION + 1) for rank in range(m)]
-    states = [_evolve(set(range(m)), rank, DEFAULT_DIMENSION)[0] for m, rank in keys]
+    keys = [(m, rank) for m in range(1, BUCKET_WIDTH + 1) for rank in range(m)]
+    states = [_evolve(set(range(m)), rank, BUCKET_WIDTH)[0] for m, rank in keys]
     counts = _shot_counts(np.abs(np.array(states)) ** 2, shots, rng_seed)
     return MappingProxyType(
         {key: int(row[key[1]]) > shots // 2 for key, row in zip(keys, counts)}

@@ -201,17 +201,14 @@ def generate_table(wordlist, specs, perm: PearsonPermutation) -> RainbowTable:
     """Build one chain per word by alternating MD5 and the reduction functions.
 
     Pure computation: any non-empty list of strings is walked, duplicates
-    included, in input order. With no specs a chain ends at its start word.
-    `perm` fixes the table's seed; the ends are hashed by build_buckets. The
-    file format's row rule is checked by save_table.
+    included, in input order, through the non-empty `specs`. `perm` fixes
+    the table's seed; the ends are hashed by build_buckets. The file
+    format's row rule is checked by save_table.
     """
     starts = list(wordlist)
     if not starts:
         raise ValueError("wordlist is empty")
-    if specs:
-        ends = [walk_chain(hashlib.md5(word.encode()).digest(), specs) for word in starts]
-    else:
-        ends = list(starts)
+    ends = [walk_chain(hashlib.md5(word.encode()).digest(), specs) for word in starts]
     return RainbowTable(starts, ends, perm.seed)
 
 
@@ -363,10 +360,7 @@ def load_table(path) -> RainbowTable:
         raise ValueError("line 1: missing table header")
     match = _HEADER_RE.match(header)
     if match is None:
-        # echo a bounded prefix of the line: 60 characters, each at most 4
-        # bytes as a repr escape, keep the message under 300 bytes
-        more = "..." if len(header) > 60 else ""
-        raise ValueError(f"line 1: malformed table header: {header[:60]!r}{more}")
+        raise ValueError(f"line 1: malformed table header: {_clip(header)}")
     version = int(match.group(1))
     if version != TABLE_VERSION:
         raise ValueError(f"line 1: unsupported table version v{version}")

@@ -8,6 +8,27 @@ from qiris.hashing import (
 )
 from qiris.rainbow_table import build_buckets, generate_table
 
+
+# The sequential SplitMix64 generator: the reference that the library's
+# counter-based `splitmix64_block` and the permutation shuffle are checked
+# against.
+_MASK64 = (1 << 64) - 1
+
+
+class SplitMix64:
+    """SplitMix64 generator; bit-exact on every platform for a given seed."""
+
+    def __init__(self, seed: int):
+        self.state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return (z ^ (z >> 31)) & _MASK64
+
+
 # Fixed 100-word list used across the suite; all ASCII, no whitespace, distinct.
 # The last six words have chain ends that share one Pearson bucket with six
 # distinct residues, so crack() exercises the Grover probe at the default

@@ -460,6 +460,28 @@ def test_compare_names_the_bad_hashes_line(workspace, tmp_path, capsys, body, fr
             ["crack", "--table", "x", "--shots", "abc", md5_hex("a")],
             "argument --shots: invalid int value: 'abc'",
         ),
+        # an integer flag takes an optional "-" and ASCII digits, not all int() reads
+        (
+            ["crack", "--table", "x", "--shots", " 1_024 ", md5_hex("a")],
+            "argument --shots: invalid int value: ' 1_024 '",
+        ),
+        (
+            ["crack", "--table", "x", "--rng-seed", "٧", md5_hex("a")],
+            "argument --rng-seed: invalid int value: '٧'",
+        ),
+        (
+            ["generate", "--wordlist", "w", "--out", "o", "--perm-seed", "+44"],
+            "argument --perm-seed: invalid int value: '+44'",
+        ),
+        (
+            ["compare", "--table", "x", "--hashes", "h", "--classical-threshold", "١٠_٢٤"],
+            "argument --classical-threshold: invalid int value: '١٠_٢٤'",
+        ),
+        # digits past int()'s length limit; the message echoes a bounded prefix
+        (
+            ["crack", "--table", "x", "--shots", "9" * 5000, md5_hex("a")],
+            "argument --shots: invalid int value: '" + "9" * 100,
+        ),
         (
             ["crack", "--table", "x", "--no-quantum", "--classical-threshold", "3", md5_hex("a")],
             "argument --classical-threshold: not allowed with argument --no-quantum",

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from conftest import SplitMix64
 
-from qiris.prng import MASK64, SplitMix64, splitmix64_block, unit_floats
+from qiris.prng import MASK64, splitmix64_block, unit_floats
 
 # Published outputs of the standard SplitMix64 mixer for seed 1234567.
 REFERENCE_FIRST4 = [

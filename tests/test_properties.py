@@ -11,6 +11,7 @@ from collections import Counter
 import tempfile
 
 import pytest
+from conftest import SplitMix64
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,7 @@ from qiris.hashing import (
     reduce,
     walk_chain,
 )
-from qiris.prng import GAMMA, SplitMix64, splitmix64_block
+from qiris.prng import GAMMA, splitmix64_block
 from qiris import rainbow_table
 from qiris.cli import main
 from qiris.quantum_sim import _SHOT_CHUNK, grover_decisions, grover_search
@@ -79,7 +80,7 @@ def _reference_walk(word, specs):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(ASCII_WORDS, min_size=1, max_size=4), st.lists(SPECS, max_size=5))
+@given(st.lists(ASCII_WORDS, min_size=1, max_size=4), st.lists(SPECS, min_size=1, max_size=5))
 def test_chain_walk_matches_reference(perm44, words, specs):
     table = generate_table(words, specs, perm44)
     for word, chain in zip(words, table.chains):
@@ -220,7 +221,7 @@ def _reference_parse_lines(data):
     """The table in `data` read one line at a time, as the earlier per-line
     loader read it; an error names the line. (That loader echoed 80
     characters of a malformed header, which could make a message of 365
-    bytes; both now echo 60.)"""
+    bytes; both now echo it as `_clip` does, in at most 60 characters.)"""
     text = data.decode("latin-1")
     crlf = text.find("\r\n")
     if crlf >= 0:
@@ -231,8 +232,7 @@ def _reference_parse_lines(data):
         raise ValueError("line 1: missing table header")
     header = rainbow_table._HEADER_RE.match(lines[0])
     if header is None:
-        more = "..." if len(lines[0]) > 60 else ""
-        raise ValueError(f"line 1: malformed table header: {lines[0][:60]!r}{more}")
+        raise ValueError(f"line 1: malformed table header: {rainbow_table._clip(lines[0])}")
     version = int(header.group(1))
     if version != rainbow_table.TABLE_VERSION:
         raise ValueError(f"line 1: unsupported table version v{version}")
@@ -391,11 +391,14 @@ def _assert_one_error_line(stderr):
 
 
 # each integer flag's bounds and the values just past them, 64-bit and
-# 400-digit values, then values that are not integers, among them ones that
-# are long or hold control, non-ASCII and astral characters
+# 400-digit values, then values that are not an optional "-" and ASCII
+# digits, among them ones that are long or hold control, non-ASCII and
+# astral characters, ones that int() reads (spaces, "_", "+", non-ASCII
+# digits) and a digit run past int()'s length limit
 INT_BOUNDS = [0, 1, 2, 16, 17, 2**24, 2**24 + 1, 2**64 - 1, 2**64]
 INT_BOUNDS += [-1, -(2**64), 10**399, -(10**399)]
 NOT_INTS = ["", "abc", "1.5", "0x10", "1e3", "-x", "1\n2", "\x00", "\xe9", "\U0001f600" * 30]
+NOT_INTS += [" 1_024 ", "\u0667", "+44", "\u0661\u0660_\u0662\u0664", "9" * 5000]
 INT_VALUES = st.sampled_from([str(b) for b in INT_BOUNDS] + NOT_INTS)
 # an accepted --shots value builds the decision table in time linear in it,
 # about 0.5 s at the 2^24 cap, so accepted values stay at or below 4096
@@ -408,6 +411,7 @@ SEARCH_FLAGS = [
     ("--classical-threshold", INT_VALUES),
     ("--no-quantum", None),
 ]
+INT_FLAGS = {"--perm-seed", "--shots", "--rng-seed", "--classical-threshold"}
 # each command's arguments: a flag and its values (None for a flag that takes
 # none), or a positional and its values
 CLI_ARGUMENTS = {
@@ -464,6 +468,10 @@ def cli_paths(tmp_path_factory, words100, specs, perm44):
 @given(cli_argvs())
 @example(["crack", "--table", "<table>", "--report", md5_hex("not in the table")])
 @example(["crack", "--table", "<table>", "--shots", "9" * 400, PASSWORD_MD5])
+# int() reads these two values, as 1024 and 7; a flag refuses them
+@example(
+    ["crack", "--table", "<table>", "--shots", " 1_024 ", "--rng-seed", "\u0667", PASSWORD_MD5]
+)
 @example(["generate", "--wordlist", "<wordlist>", "--out", "<out>", "--perm-seed", "-" + "9" * 400])
 def test_cli_flags_exit_0_1_or_2_with_one_short_error_line(cli_paths, argv):
     argv = [cli_paths.get(token, token) for token in argv]
@@ -474,6 +482,8 @@ def test_cli_flags_exit_0_1_or_2_with_one_short_error_line(cli_paths, argv):
         except SystemExit as exc:
             raise AssertionError(f"SystemExit({exc.code}) escaped main") from None
     assert code in (0, 1, 2)
+    if any(flag in INT_FLAGS and value in NOT_INTS for flag, value in zip(argv, argv[1:])):
+        assert code == 2
     if code == 2:
         _assert_one_error_line(err.getvalue())
 

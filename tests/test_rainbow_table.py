@@ -60,6 +60,12 @@ def test_generate_rejects_bad_wordlists(words, fragment, perm44, specs):
         generate_table(words, specs, perm44)
 
 
+def test_generate_refuses_no_reductions(perm44):
+    # a chain is at least one reduction, so every end is a reduced plaintext
+    with pytest.raises(ValueError, match="at least one reduction"):
+        generate_table(["password"], [], perm44)
+
+
 @pytest.mark.parametrize(
     "words,fragment",
     [
