@@ -2,10 +2,15 @@
 
 MD5 digests, the seeded 16-bit Pearson hash used to bucket chain ends, the
 base62 reduction functions R1..R4 that map digests back into the plaintext
-space, and the chain walk that alternates the two.
+space, and the chain walk that alternates the two. `walk_chain` walks one
+chain, for crack and verify. `generate_table` walks a whole wordlist with
+`_walk_chains`, the same walk in numpy over chunks of rows: the texts after
+each word are fixed-length base62, so one RFC 1321 MD5 in numpy hashes a
+chunk's texts at once.
 """
 
 import hashlib
+import math
 import re
 import struct
 from dataclasses import dataclass
@@ -34,6 +39,24 @@ _prefix = struct.Struct(">I").unpack_from
 
 # Shuffle draws are made this many at a time, keeping numpy buffers small.
 _DRAW_CHUNK = 4096
+
+# `_walk_chains` walks this many rows at a time, keeping numpy buffers small.
+_WALK_CHUNK = 8192
+
+_BASE62_BYTES = np.frombuffer(BASE62_ALPHABET.encode(), np.uint8)
+
+# A prefix (below 2**32) plus a nonce's low part (below 62**10) is below
+# 2 * 62**10 < 2**64, so its low 10 digits come from uint64 arithmetic.
+_LOW_DIGITS = 10
+
+# RFC 1321's MD5 round constants T[i] and per-step shifts, its initial state,
+# and which message word step i reads.
+_MD5_K = tuple(int(abs(math.sin(i + 1)) * 2**32) for i in range(64))
+_MD5_S = (7, 12, 17, 22) * 4 + (5, 9, 14, 20) * 4 + (4, 11, 16, 23) * 4 + (6, 10, 15, 21) * 4
+_MD5_INIT = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476)
+_MD5_WORD = tuple(
+    (i, (5 * i + 1) % 16, (3 * i + 5) % 16, 7 * i % 16)[i // 16] for i in range(64)
+)
 
 
 @dataclass(frozen=True)
@@ -154,3 +177,100 @@ def _base62(v: int, length: int) -> str:
     if length:
         text += BASE62_ALPHABET[v % 62]
     return text
+
+
+def _walk_chains(words, specs) -> list:
+    """`walk_chain` from each word's MD5 through `specs`: the ends, in row order.
+
+    Each word's own MD5 is hashlib's, one call per word, since words vary in
+    length and may be non-ASCII. Every later text is `length` base62 bytes,
+    so numpy reduces and hashes all rows of a chunk at once.
+    """
+    if not specs:
+        raise ValueError("a chain walk needs at least one reduction")
+    *inner, last = specs
+    width = last.length
+    # The list is sized once and each chunk's digests are held as one
+    # buffer: a list grown chunk by chunk, or a chunk's digest objects held
+    # at once, each raised a long-running process's peak RSS by about 0.5-1 MB.
+    ends = [None] * len(words)
+    for start in range(0, len(words), _WALK_CHUNK):
+        digests = bytearray()
+        for word in words[start:start + _WALK_CHUNK]:
+            digests += hashlib.md5(word.encode()).digest()
+        prefixes = np.frombuffer(digests, ">u4")[::4].astype(np.uint64)
+        for spec in inner:
+            prefixes = _md5_prefixes(_base62_digits(prefixes, spec))
+        text = _base62_digits(prefixes, last).T.tobytes().decode("ascii")
+        ends[start:start + _WALK_CHUNK] = [text[i:i + width] for i in range(0, len(text), width)]
+    return ends
+
+
+def _base62_digits(prefixes: np.ndarray, spec: ReductionSpec) -> np.ndarray:
+    """`_base62(prefix + spec.nonce, spec.length)` for every uint64 prefix, as
+    base62 bytes: row k holds digit k of every prefix's text.
+    """
+    high, low = divmod(spec.nonce, 62**_LOW_DIGITS)
+    v = prefixes + low
+    digits = np.empty((spec.length, len(v)), np.uint8)
+    for k in range(min(spec.length, _LOW_DIGITS)):
+        v, digit = np.divmod(v, 62)
+        digits[k] = _BASE62_BYTES[digit]
+    if spec.length > _LOW_DIGITS:
+        # v is now the carry into digit 10, 0 or 1, so the digits above it
+        # are those of `high` or of `high + 1`
+        width = spec.length - _LOW_DIGITS
+        above = (_base62(high, width) + _base62(high + 1, width)).encode()
+        digits[_LOW_DIGITS:] = np.frombuffer(above, np.uint8).reshape(2, width).T[:, v]
+    return digits
+
+
+def _md5_prefixes(text: np.ndarray) -> np.ndarray:
+    """The reduction prefix of the MD5 of every column of `text`, an
+    (L, N) array of byte k of N texts of L bytes each, as uint64.
+
+    RFC 1321 over the texts' padded blocks, (16 * B, N) little-endian uint32
+    words where B is the block count, one step over all N texts at a time.
+    The prefix is the digest's first 4 bytes read big-endian: the byte-swapped
+    first state word.
+    """
+    length, n = text.shape
+    blocks = (length + 8) // 64 + 1
+    padding = bytearray(64 * blocks)
+    padding[length] = 0x80
+    padding[-8:] = (8 * length).to_bytes(8, "little")
+    padding = struct.unpack(f"<{16 * blocks}I", padding)
+    # the words holding text bytes; every later word holds padding only,
+    # the same in every row
+    message = np.zeros(((length + 3) // 4, n, 4), np.uint8)
+    for k in range(length):
+        message[k // 4, :, k % 4] = text[k]
+    message = message.view("<u4")[..., 0]
+    message += np.array(padding[:len(message)], np.uint32)[:, None]
+    words = [*message, *padding[len(message):]]
+    state = [np.full(n, s, np.uint32) for s in _MD5_INIT]
+    for block in range(blocks):
+        m = words[16 * block:16 * block + 16]
+        a, b, c, d = state
+        # steps 61-63 only carry step 60's b into a, so the last block stops there
+        for i in range(61 if block == blocks - 1 else 64):
+            if i < 16:
+                f = d ^ (b & (c ^ d))
+            elif i < 32:
+                f = c ^ (d & (b ^ c))
+            elif i < 48:
+                f = b ^ c ^ d
+            else:
+                f = c ^ (b | ~d)
+            f += a
+            word = m[_MD5_WORD[i]]
+            if isinstance(word, int):
+                f += (word + _MD5_K[i]) & 0xFFFFFFFF
+            else:
+                f += word
+                f += _MD5_K[i]
+            s = _MD5_S[i]
+            a, d, c, b = d, c, b, b + (f << s | f >> (32 - s))
+        if block < blocks - 1:
+            state = [x + y for x, y in zip(state, (a, b, c, d))]
+    return (state[0] + b).byteswap().astype(np.uint64)

@@ -2,7 +2,9 @@
 
 A table stores one chain per wordlist entry as two columns in row order: the
 starting plaintexts and the final 3-character reductions. `table.chains`
-views the columns as `Chain` rows without storing any. Each table also
+views the columns as `Chain` rows without storing any. `generate_table`
+walks a wordlist's chains in numpy chunks (`hashing._walk_chains`), and
+`save_table` checks the columns whole before it writes. Each table also
 derives, once, a packed end column: one uint32 per row holding the end's 3
 bytes and a newline, which the bucket index hashes. The classical baseline
 finds the rows ending in a text by one O(N) `str.find` over a string of one
@@ -16,13 +18,13 @@ are found by binary search, and one 16-bit mask per bucket: bit r of
 bucket k's mask is set when some end hashes to 16k + r.
 """
 
-import hashlib
 import re
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -30,23 +32,30 @@ from .hashing import (
     BASE62_ALPHABET,
     PERMUTATION_SIZE,
     PearsonPermutation,
+    _walk_chains,
     build_permutation,
-    walk_chain,
 )
 from .prng import MASK64
 
 TABLE_VERSION = 1
 BUCKET_WIDTH = 16
 
+# save_table joins this many rows into each write.
+_WRITE_CHUNK = 8192
+
 _HEADER_RE = re.compile(r"^QIRIS v(\d{1,20}) seed=(\d{1,20}) chain=R1,R2,R3,R4$")
 
+# The characters a start may hold: ASCII but not whitespace as str.split sees it.
+_START_CHARS = r"\x00-\x08\x0e-\x1b\x21-\x7f"
+_NOT_START_CHAR_RE = re.compile(f"[^{_START_CHARS}]")
+
 # A newline that no row follows, where a row is the row rule as a pattern:
-# start bytes, which are ASCII but not whitespace as str.split sees it, one
-# tab and a 3-base62 end, then a newline. Searched for from the end of the
-# header, it is found just before the first bad line, or else at the file's
-# last newline. A repeated group, `(?:row)*`, would do the same in one match
-# but keeps about 190 bytes of matcher state per row it passes.
-_NO_ROW_AFTER_RE = re.compile(r"\n(?![\x00-\x08\x0e-\x1b\x21-\x7f]+\t[0-9A-Za-z]{3}\n)")
+# start characters, one tab and a 3-base62 end, then a newline. Searched for
+# from the end of the header, it is found just before the first bad line, or
+# else at the file's last newline. A repeated group, `(?:row)*`, would do the
+# same in one match but keeps about 190 bytes of matcher state per row it
+# passes.
+_NO_ROW_AFTER_RE = re.compile(rf"\n(?![{_START_CHARS}]+\t[0-9A-Za-z]{{3}}\n)")
 _BASE62_BYTE = np.zeros(256, bool)
 _BASE62_BYTE[list(BASE62_ALPHABET.encode())] = True
 
@@ -201,14 +210,15 @@ def generate_table(wordlist, specs, perm: PearsonPermutation) -> RainbowTable:
     """Build one chain per word by alternating MD5 and the reduction functions.
 
     Pure computation: any non-empty list of strings is walked, duplicates
-    included, in input order, through the non-empty `specs`. `perm` fixes
-    the table's seed; the ends are hashed by build_buckets. The file
-    format's row rule is checked by save_table.
+    included, in input order, through the non-empty `specs`, in numpy chunks
+    of rows whose ends equal walk_chain's. `perm` fixes the table's seed;
+    the ends are hashed by build_buckets. The file format's row rule is
+    checked by save_table.
     """
     starts = list(wordlist)
     if not starts:
         raise ValueError("wordlist is empty")
-    ends = [walk_chain(hashlib.md5(word.encode()).digest(), specs) for word in starts]
+    ends = _walk_chains(starts, specs)
     return RainbowTable(starts, ends, perm.seed)
 
 
@@ -325,21 +335,27 @@ def save_table(table: RainbowTable, path) -> None:
 
     Refuses, before `path` is opened, every table that load_table would:
     no chains, a seed outside 0..2^64-1, or a row that breaks _check_row.
-    So a save that returns is one load_table reads back as an equal table.
+    The columns are checked whole, and rows one by one only to name the
+    first refused row. So a save that returns is one load_table reads back
+    as an equal table.
     """
     if not table.starts:
         raise ValueError("table has no chains")
     if not 0 <= table.perm_seed <= MASK64:
         raise ValueError(f"permutation seed {table.perm_seed} is outside 0..{MASK64}")
-    for pos, (start, end) in enumerate(zip(table.starts, table.ends)):
-        try:
-            _check_row(start, end, "")
-        except ValueError:  # name the refused row; its location is formatted only here
+    starts, ends = table.starts, table.ends
+    if not all(starts) or _NOT_START_CHAR_RE.search("".join(starts)):
+        # some start breaks the row rule; name the first refused row
+        for pos, (start, end) in enumerate(zip(starts, ends)):
             _check_row(start, end, f"table.chains[{pos}]")
+    table.end_codes  # refuses a bad end as table.chains[i]
+    tabs, newlines = repeat("\t"), repeat("\n")
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(f"QIRIS v{TABLE_VERSION} seed={table.perm_seed} chain=R1,R2,R3,R4\n")
-        for start, end in zip(table.starts, table.ends):
-            fh.write(f"{start}\t{end}\n")
+        for i in range(0, len(starts), _WRITE_CHUNK):
+            # joins the column strings themselves, making no string per row
+            rows = zip(starts[i:i + _WRITE_CHUNK], tabs, ends[i:i + _WRITE_CHUNK], newlines)
+            fh.write("".join(chain.from_iterable(rows)))
 
 
 def load_table(path) -> RainbowTable:

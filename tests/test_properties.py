@@ -53,10 +53,18 @@ WORDS = st.text("abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=8)
 ASCII_WORDS = st.text(
     "".join(chr(c) for c in range(128) if not chr(c).isspace()), min_size=1, max_size=12
 )
+# Words past one MD5 block, non-ASCII included, for the chain walk property.
+WALK_WORDS = st.one_of(ASCII_WORDS, st.text(min_size=56, max_size=200))
+# Lengths at the MD5 padding edges of 1, 2 and 3 blocks, and nonces at the
+# edges of 62**10 and of uint64, so prefix + nonce can carry past both.
 SPECS = st.builds(
     ReductionSpec,
-    nonce=st.one_of(st.integers(0, 64), st.integers(0, 2**70)),
-    length=st.integers(1, 16),
+    nonce=st.one_of(
+        st.integers(0, 64),
+        st.integers(0, 2**70),
+        st.sampled_from([0, 62**10 - 1, 2**64 - 1, 2**70]),
+    ),
+    length=st.one_of(st.integers(1, 16), st.sampled_from([55, 56, 63, 64, 119, 120])),
     index=st.integers(1, 4),
 )
 
@@ -80,7 +88,7 @@ def _reference_walk(word, specs):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(ASCII_WORDS, min_size=1, max_size=4), st.lists(SPECS, min_size=1, max_size=5))
+@given(st.lists(WALK_WORDS, min_size=1, max_size=4), st.lists(SPECS, min_size=1, max_size=5))
 def test_chain_walk_matches_reference(perm44, words, specs):
     table = generate_table(words, specs, perm44)
     for word, chain in zip(words, table.chains):

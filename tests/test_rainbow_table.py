@@ -1,13 +1,14 @@
 import dataclasses
 import hashlib
+import random
 from array import array
 from collections import Counter
 from collections.abc import Sequence
 
 import pytest
 
-from qiris import rainbow_table
-from qiris.hashing import BASE62_ALPHABET, build_permutation, md5_hex, pearson16
+from qiris import hashing, rainbow_table
+from qiris.hashing import BASE62_ALPHABET, build_permutation, md5_hex, pearson16, walk_chain
 from qiris.rainbow_table import (
     BUCKET_WIDTH,
     Chain,
@@ -33,6 +34,19 @@ def test_generate_single_word(perm44, specs):
     assert table.chains[0].end == "xk9"  # frozen from the reference chain walk
     assert table.perm_seed == 44
     assert build_buckets(table).hashes.tolist() == [454]
+
+
+def test_generate_walks_each_row_alone_across_chunk_edges(perm44, specs):
+    # generate_table walks its rows in chunks; no end may depend on where a
+    # chunk starts or on the rows beside it
+    chunk = hashing._WALK_CHUNK
+    rng = random.Random(17)
+    words = [format(rng.getrandbits(rng.randint(4, 60)), "x") for _ in range(2 * chunk + 1)]
+    table = generate_table(words, specs, perm44)
+    assert table.ends == [walk_chain(hashlib.md5(w.encode()).digest(), specs) for w in words]
+    for k in (chunk - 1, chunk, chunk + 1):
+        head = RainbowTable(words[:k], table.ends[:k], 44)
+        assert generate_table(words[:k], specs, perm44) == head
 
 
 def test_generate_preserves_order(table100, buckets100, words100):
