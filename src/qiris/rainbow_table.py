@@ -13,14 +13,14 @@ over its body and split in one call; the first line the pattern refuses
 goes to the per-line row check, which makes the error. The bucket index
 Pearson-hashes all chain ends at once into 16-bit values whose high 12 bits
 select a bucket and whose low 4 bits are the residues searched at crack
-time. It keeps the end hashes sorted, so the rows ending in a given hash
-are found by binary search, and one 16-bit mask per bucket: bit r of
-bucket k's mask is set when some end hashes to 16k + r.
+time. It keeps one 16-bit mask per bucket, bit r of bucket k's mask set
+when some end hashes to 16k + r, and the rows grouped by bucket with their
+ends beside them, so the rows ending in a given text are found by one
+search of that text's bucket.
 """
 
 import re
 from array import array
-from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -133,10 +133,14 @@ class RainbowTable:
         # A newline follows every end, so a text of 4 bytes per end whose
         # first 3 of each 4 are base62 has its N newlines at every 4th byte:
         # each end is then exactly the 3 bytes before one, and no end is cut
-        # or shifted.
-        text = "\n".join([*self.ends, ""])
-        if text.isascii() and len(text) == 4 * len(self.ends):
-            codes = np.frombuffer(text.encode("ascii"), "<u4")
+        # or shifted. The last newline is added to the bytes, so the ends
+        # list is not copied for it, and the joined str is gone by then. A
+        # non-ASCII character encodes as "?", which is no base62 byte.
+        if not self.ends:
+            return np.frombuffer(b"", "<u4")
+        data = "\n".join(self.ends).encode("ascii", "replace") + b"\n"
+        if len(data) == 4 * len(self.ends):
+            codes = np.frombuffer(data, "<u4")
             if _BASE62_BYTE[codes.view(np.uint8).reshape(-1, 4)[:, :3]].all():
                 return codes
         # some end failed the check above, and this loop raises at the first one
@@ -179,19 +183,24 @@ def _end_point(end: str) -> str:
 
 @dataclass
 class BucketIndex:
-    """One residue mask per bucket plus a sorted end-hash index over the table's rows.
+    """One residue mask per bucket, and the table's rows grouped by bucket
+    with their ends beside them.
 
-    `hashes` holds every row's end hash in ascending order and `rows` the
-    row id at the same position; rows sharing a hash stay in ascending
-    order. `masks` holds one 16-bit mask for each of the 4096 12-bit bucket
-    keys: bit r of `masks[k]` is set when some row's end hash is 16k + r, so
-    a bucket's size m is its mask's bit count, 0 for an empty bucket. `perm`
-    is the permutation that hashed the ends, and the one `crack` must hash
-    its candidates with.
+    `rows` holds every row id ordered by end hash, rows sharing a hash in
+    ascending order. `ends` holds those rows' ends in the same order, each
+    as its 3 characters and a newline, so row `rows[i]`'s end is
+    `ends[4 * i:4 * i + 3]`. The rows of bucket k, whose end hashes are
+    16k to 16k + 15, sit at `offsets[k]:offsets[k + 1]` of both (4097
+    entries). `masks` holds one 16-bit mask for each of the 4096 12-bit
+    bucket keys: bit r of `masks[k]` is set when some row's end hash is
+    16k + r, so a bucket's size m is its mask's bit count, 0 for an empty
+    bucket. `perm` is the permutation that hashed the ends, and the one
+    `crack` must hash its candidates with.
     """
 
-    hashes: array
     rows: array
+    ends: str
+    offsets: array
     masks: array
     perm: PearsonPermutation
 
@@ -201,9 +210,27 @@ class BucketIndex:
         masks = enumerate(self.masks)
         return {k: [r for r in range(BUCKET_WIDTH) if m >> r & 1] for k, m in masks if m}
 
-    def rows_for(self, h: int) -> list:
-        """All row ids whose end hash equals `h`, in ascending order; O(log N)."""
-        return self.rows[bisect_left(self.hashes, h):bisect_right(self.hashes, h)].tolist()
+    def rows_for(self, h: int, end: str) -> list:
+        """All row ids whose end is `end`, in ascending order, where `h` is
+        `end`'s hash: one search of bucket h // 16's part of `ends`.
+
+        A text that is not 3 base62 characters matches no row.
+        """
+        # Newlines sit in `ends` only at the positions 3 mod 4, so the key's
+        # final newline lets it match only at the start of a row's 4
+        # characters, and only when its first 3 are that row's whole end.
+        # Past the length check, a text that is no end thus matches nothing.
+        if len(end) != 3:
+            return []
+        key = end + "\n"
+        k = h // BUCKET_WIDTH
+        ends, stop = self.ends, 4 * self.offsets[k + 1]
+        rows = []
+        pos = ends.find(key, 4 * self.offsets[k], stop)
+        while pos >= 0:
+            rows.append(self.rows[pos >> 2])
+            pos = ends.find(key, pos + 4, stop)
+        return rows
 
 
 def generate_table(wordlist, specs, perm: PearsonPermutation) -> RainbowTable:
@@ -302,19 +329,20 @@ def _permutation(seed: int) -> tuple:
 
 
 def build_buckets(table: RainbowTable) -> BucketIndex:
-    """Hash every chain end and index the hashes; the one place ends are hashed.
+    """Hash every chain end and index the rows by bucket; the one place ends are hashed.
 
     The ends are hashed with the permutation for the table's seed, three
     gathers through it over all rows at once, bit-identical to pearson16.
     Each end hash h sets bit h % 16 of the mask under bucket key h // 16.
-    The sorted index costs 6 bytes per row and the masks 8 KB. The
-    permutation comes from a one-entry memo, so indexes built one after
-    another over one seed share one permutation object and one build.
+    The rows and their ends, ordered by end hash, cost 8 bytes per row;
+    the bucket offsets cost 16 KB and the masks 8 KB. The permutation
+    comes from a one-entry memo, so indexes built one after another over
+    one seed share one permutation object and one build.
     """
     perm, lookup = _permutation(table.perm_seed)
-    codes = table.end_codes.view(np.uint8).reshape(-1, 4)
+    codes = table.end_codes
     h = np.full(len(codes), 3, np.intp)  # pearson16 starts at len(text)
-    for column in codes[:, :3].T:
+    for column in codes.view(np.uint8).reshape(-1, 4)[:, :3].T:
         h = lookup[(h + column) % PERMUTATION_SIZE]
     hashes = h.astype(np.uint16)  # sorts an order of magnitude faster than intp
     order = np.argsort(hashes, kind="stable")
@@ -322,9 +350,12 @@ def build_buckets(table: RainbowTable) -> BucketIndex:
     seen[hashes] = True
     # little-endian bits: seen[16k + r] lands in bit r of the k-th 16-bit word
     masks = np.packbits(seen, bitorder="little").view("<u2").astype(np.uint16)
+    offsets = np.zeros(len(masks) + 1, np.uintc)
+    offsets[1:] = np.bincount(hashes // BUCKET_WIDTH, minlength=len(masks)).cumsum()
     return BucketIndex(
-        hashes=array("H", hashes[order].tobytes()),
         rows=array("i", order.astype(np.intc).tobytes()),
+        ends=str(codes[order], "ascii"),
+        offsets=array("I", offsets.tobytes()),
         masks=array("H", masks.tobytes()),
         perm=perm,
     )

@@ -3,15 +3,15 @@
 For each chain suffix the query hash is reduced to a candidate end plaintext.
 The quantum path reads the candidate's bucket mask, whose bit count picks
 the probe and whose bit at the 4-bit residue is its presence, and only then
-looks up the candidate's hash in the sorted end-hash index; the classical
-baseline compares the candidate with every chain end instead, one O(N) scan
-of the table's end column per suffix. Any hit is verified by rebuilding the
-chain and comparing MD5 digests, so both paths only ever return true
-preimages. The simulated Grover vote is checked once per config:
-`SearchConfig` refuses one whose vote rejects a present residue in a bucket
-it sends to Grover. An absent residue never receives a shot, so for an
-accepted config the vote is membership, and `crack` decides every probe by
-whether the residue is present.
+finds the rows ending in the candidate by one search of its bucket's ends
+in the index; the classical baseline compares the candidate with every
+chain end instead, one O(N) scan of the table's end column per suffix. Any
+hit is verified by rebuilding the chain and comparing MD5 digests, so both
+paths only ever return true preimages. The simulated Grover vote is checked
+once per config: `SearchConfig` refuses one whose vote rejects a present
+residue in a bucket it sends to Grover. An absent residue never receives a
+shot, so for an accepted config the vote is membership, and `crack` decides
+every probe by whether the residue is present.
 """
 
 import hashlib
@@ -111,10 +111,12 @@ def crack(
 
     Tries suffixes of increasing length i = 1..len(specs); the i-th suffix
     reproduces a chain end when the query hash sits at depth len(specs)-i.
-    Every candidate row whose end hash matches is checked for an exact end
-    plaintext match and then rebuilt, so 16-bit hash collisions cannot cause
-    false positives or mask recoverable entries. Each suffix increments
-    exactly one of bucket_misses, classical_fallbacks, grover_invocations.
+    The rows whose end is the candidate itself are found in its bucket
+    (`buckets.rows_for`) and rebuilt in row order, so 16-bit hash
+    collisions cannot cause false positives or mask recoverable entries,
+    and a row that only shares the candidate's hash is never fetched. Each
+    suffix increments exactly one of bucket_misses, classical_fallbacks,
+    grover_invocations.
     Each probe reads one bucket mask: 0 is a miss, its bit count is m, and
     its bit at the residue decides the probe by membership: `cfg` was
     accepted only because its vote agrees with membership (`SearchConfig`).
@@ -149,9 +151,7 @@ def crack(
             report.grover_iterations_total += grover_iterations(m)
         if not mask >> h % BUCKET_WIDTH & 1:
             continue
-        for row in buckets.rows_for(h):
-            if table.ends[row] != text:
-                continue
+        for row in buckets.rows_for(h, text):
             candidate, candidate_hash = rebuild_chain(table.starts[row], specs[: n - i])
             if candidate_hash == query:
                 report.result = candidate

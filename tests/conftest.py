@@ -6,7 +6,7 @@ from qiris.hashing import (
     canonical_reduction_specs,
     pearson16,
 )
-from qiris.rainbow_table import build_buckets, generate_table
+from qiris.rainbow_table import BUCKET_WIDTH, build_buckets, generate_table
 
 
 # The sequential SplitMix64 generator: the reference that the library's
@@ -85,20 +85,56 @@ def buckets100(table100):
 
 
 @pytest.fixture(scope="session")
-def end_for_hash(perm44):
-    """One 3-character base62 chain end for each end hash that seed 44 reaches.
-
-    Tests that need rows with given end hashes build them from these ends.
-    """
+def two_ends_for_hash(perm44):
+    """Up to two 3-character base62 chain ends for each end hash that seed 44
+    reaches, in alphabet order: the first ends found by brute force."""
     ends = {}
     for a in BASE62_ALPHABET:
         for b in BASE62_ALPHABET:
             for c in BASE62_ALPHABET:
-                ends.setdefault(pearson16(a + b + c, perm44), a + b + c)
+                group = ends.setdefault(pearson16(a + b + c, perm44), [])
+                if len(group) < 2:
+                    group.append(a + b + c)
     return ends
+
+
+@pytest.fixture(scope="session")
+def end_for_hash(two_ends_for_hash):
+    """One 3-character base62 chain end for each end hash that seed 44 reaches.
+
+    Tests that need rows with given end hashes build them from these ends.
+    """
+    return {h: group[0] for h, group in two_ends_for_hash.items()}
+
+
+@pytest.fixture(scope="session")
+def twin_ends(two_ends_for_hash):
+    """Pairs of different chain ends that share one seed-44 hash, by hash."""
+    return [tuple(group) for _, group in sorted(two_ends_for_hash.items()) if len(group) == 2]
+
+
+@pytest.fixture(scope="session")
+def suffix_twins(perm44):
+    """Chain ends whose last 2 characters hash into the end's own seed-44
+    bucket, each paired with that 2-character suffix: a bucket search that
+    took the suffix for an end would find the end's row at an odd offset."""
+    pairs = []
+    for b in BASE62_ALPHABET:
+        for c in BASE62_ALPHABET:
+            key = pearson16(b + c, perm44) // BUCKET_WIDTH
+            for a in BASE62_ALPHABET:
+                if pearson16(a + b + c, perm44) // BUCKET_WIDTH == key:
+                    pairs.append((a + b + c, b + c))
+    return pairs
 
 
 @pytest.fixture(scope="session")
 def reachable_hashes(end_for_hash):
     """The end hashes that seed 44 reaches, ascending."""
     return sorted(end_for_hash)
+
+
+def sorted_end_hashes(table, perm):
+    """Every row's end hash, ascending: the order in which the bucket index
+    holds the rows, derived from `table.ends` with pearson16."""
+    return sorted(pearson16(end, perm) for end in table.ends)

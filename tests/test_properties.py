@@ -11,7 +11,7 @@ from collections import Counter
 import tempfile
 
 import pytest
-from conftest import SplitMix64
+from conftest import SplitMix64, sorted_end_hashes
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
@@ -500,8 +500,8 @@ def test_cli_flags_exit_0_1_or_2_with_one_short_error_line(cli_paths, argv):
 def test_index_hashes_are_pearson16(perm44, ends):
     index = build_buckets(RainbowTable([f"w{i}" for i in range(len(ends))], ends, 44))
     hashes = [pearson16(end, perm44) for end in ends]
-    assert list(index.hashes) == sorted(hashes)
     assert [hashes[row] for row in index.rows] == sorted(hashes)
+    assert index.ends == "".join(ends[row] + "\n" for row in index.rows)
     sizes = Counter(h // BUCKET_WIDTH for h in set(hashes))
     assert [mask.bit_count() for mask in index.masks] == [sizes[key] for key in range(4096)]
 
@@ -523,13 +523,15 @@ def test_masks_mark_exactly_the_end_hashes(perm44, reachable_hashes, end_for_has
     # `near` adds ends among the 256 lowest hashes that seed 44 reaches, so
     # that masks with many bits set are drawn too
     ends = ends + [end_for_hash[reachable_hashes[i]] for i in near]
-    index = build_buckets(RainbowTable([f"w{i}" for i in range(len(ends))], ends, 44))
+    table = RainbowTable([f"w{i}" for i in range(len(ends))], ends, 44)
+    index = build_buckets(table)
     masks = [0] * 4096
     for end in ends:
         h = pearson16(end, perm44)
         masks[h // BUCKET_WIDTH] |= 1 << h % BUCKET_WIDTH
     assert index.masks.typecode == "H" and index.masks.tolist() == masks
-    assert list(index.buckets.items()) == list(_buckets_from_hashes(index.hashes).items())
+    expected = _buckets_from_hashes(sorted_end_hashes(table, perm44))
+    assert list(index.buckets.items()) == list(expected.items())
 
 
 @given(st.data(), st.lists(END_HASHES, max_size=5))
@@ -545,8 +547,60 @@ def test_index_lookup_matches_scan(end_for_hash, reachable_hashes, data, probes)
     )
     starts = [f"w{i}" for i in range(len(hashes))]
     index = build_buckets(RainbowTable(starts, [end_for_hash[h] for h in hashes], 44))
-    for h in set(hashes) | set(probes):
-        assert index.rows_for(h) == [i for i, v in enumerate(hashes) if v == h]
+    # each hash has one end here, so the rows ending in it are those of its hash
+    for h in (set(hashes) | set(probes)) & end_for_hash.keys():
+        assert index.rows_for(h, end_for_hash[h]) == [i for i, v in enumerate(hashes) if v == h]
+
+
+ASCII = "".join(map(chr, range(128)))
+# ASCII texts that are no chain end: 2 or 4 characters, or 3 with one
+# character outside base62 (newline included)
+NON_ENDS = st.one_of(
+    st.text(ASCII, min_size=2, max_size=2),
+    st.text(ASCII, min_size=4, max_size=4),
+    st.builds(
+        lambda text, c, at: text[:at] + c + text[at:],
+        st.text(ASCII, min_size=2, max_size=2),
+        st.sampled_from([c for c in ASCII if c not in BASE62_ALPHABET]),
+        st.integers(0, 2),
+    ),
+)
+
+
+@given(st.data())
+def test_rows_for_finds_the_rows_ending_in_the_text(
+    perm44, end_for_hash, twin_ends, suffix_twins, data
+):
+    edges = [end_for_hash[h] for h in (*range(16), *range(65520, 65536)) if h in end_for_hash]
+    shifted = [end for end, _ in suffix_twins]
+    distinct = data.draw(
+        st.lists(
+            st.one_of(BASE62_ENDS, st.sampled_from(edges), st.sampled_from(shifted)),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    # different ends sharing one hash: the first of each pair is a row, the
+    # second a row or only a query
+    # (drawn by index: a sampled_from over all 57k pairs is slow to build)
+    pair = st.integers(0, len(twin_ends) - 1).map(twin_ends.__getitem__)
+    twins = data.draw(st.lists(st.tuples(pair, st.booleans()), max_size=4))
+    distinct += [a for (a, _), _ in twins] + [b for (_, b), kept in twins if kept]
+    repeats = data.draw(st.lists(st.sampled_from(distinct), max_size=20))
+    ends = data.draw(st.permutations(distinct + repeats))
+    table = RainbowTable([f"w{i}" for i in range(len(ends))], ends, 44)
+    index = build_buckets(table)
+
+    sizes = Counter(pearson16(end, perm44) // BUCKET_WIDTH for end in ends)
+    offsets = index.offsets
+    assert offsets[0] == 0 and offsets[4096] == len(ends)
+    assert [offsets[k + 1] - offsets[k] for k in range(4096)] == [sizes[k] for k in range(4096)]
+
+    queries = set(ends) | {b for (_, b), _ in twins} | set(data.draw(st.lists(NON_ENDS)))
+    # a stored end's prefix, suffix, extension and shifted copy are no ends
+    queries |= {q for end in ends for q in (end[:2], end[1:], end + "0", end[1:] + "\n")}
+    for text in queries:
+        assert index.rows_for(pearson16(text, perm44), text) == table.rows_ending(text)
 
 
 def _reference_classical_scan(hash_hex, table, specs):
@@ -621,7 +675,7 @@ def test_crack_agrees_with_classical(
     table = generate_table(words, specs, perm44)
     # extra rows, whose starts rebuild to no query, put residues 0..fill-1 in
     # each chain's bucket, so probes meet buckets on both sides of the threshold
-    keys = sorted({h // BUCKET_WIDTH for h in build_buckets(table).hashes})
+    keys = sorted({h // BUCKET_WIDTH for h in sorted_end_hashes(table, perm44)})
     ends = [
         end_for_hash.get(key * BUCKET_WIDTH + r)
         for j, key in enumerate(keys)

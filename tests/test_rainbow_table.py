@@ -2,10 +2,10 @@ import dataclasses
 import hashlib
 import random
 from array import array
-from collections import Counter
 from collections.abc import Sequence
 
 import pytest
+from conftest import sorted_end_hashes
 
 from qiris import hashing, rainbow_table
 from qiris.hashing import BASE62_ALPHABET, build_permutation, md5_hex, pearson16, walk_chain
@@ -33,7 +33,8 @@ def test_generate_single_word(perm44, specs):
     assert table.chains[0].start == "password"
     assert table.chains[0].end == "xk9"  # frozen from the reference chain walk
     assert table.perm_seed == 44
-    assert build_buckets(table).hashes.tolist() == [454]
+    assert sorted_end_hashes(table, perm44) == [454]
+    assert build_buckets(table).buckets == {454 // BUCKET_WIDTH: [454 % BUCKET_WIDTH]}
 
 
 def test_generate_walks_each_row_alone_across_chunk_edges(perm44, specs):
@@ -49,11 +50,11 @@ def test_generate_walks_each_row_alone_across_chunk_edges(perm44, specs):
         assert generate_table(words[:k], specs, perm44) == head
 
 
-def test_generate_preserves_order(table100, buckets100, words100):
+def test_generate_preserves_order(table100, buckets100, words100, perm44):
     assert len(table100.chains) == 100
     assert [c.start for c in table100.chains] == words100
-    assert len(buckets100.hashes) == 100
-    assert all(0 <= h <= 65534 for h in buckets100.hashes)
+    assert len(buckets100.rows) == 100 and len(buckets100.ends) == 4 * 100
+    assert all(0 <= h <= 65534 for h in sorted_end_hashes(table100, perm44))
 
 
 def test_generate_deterministic(perm44, specs, words100):
@@ -65,7 +66,8 @@ def test_generate_keeps_duplicates(perm44, specs):
     table = generate_table(["hello", "hello"], specs, perm44)
     assert table.chains[0] == table.chains[1]
     index = build_buckets(table)
-    assert index.rows_for(index.hashes[0]) == [0, 1]
+    end = table.ends[0]
+    assert index.rows_for(pearson16(end, index.perm), end) == [0, 1]
 
 
 @pytest.mark.parametrize("words,fragment", [([], "empty")])
@@ -112,7 +114,7 @@ def test_buckets_keep_duplicates(end_for_hash):
     # a bucket holds each residue once; the sorted index keeps every row
     index = build_buckets(_table(end_for_hash, [5, 5]))
     assert index.buckets == {0: [5]}
-    assert index.rows_for(5) == [0, 1]
+    assert index.rows_for(5, end_for_hash[5]) == [0, 1]
 
 
 def test_buckets_share_one_permutation(end_for_hash, perm44):
@@ -150,7 +152,7 @@ def test_bucket_reconstruction_roundtrip(table100, buckets100, perm44):
         key * BUCKET_WIDTH + r for key, residues in buckets100.buckets.items() for r in residues
     }
     assert rebuilt == set(end_hashes)
-    assert Counter(buckets100.hashes) == Counter(end_hashes)
+    assert [end_hashes[row] for row in buckets100.rows] == sorted(end_hashes)
     buckets, masks = buckets100.buckets, buckets100.masks
     assert isinstance(masks, array) and masks.typecode == "H" and len(masks) == 4096
     assert [mask.bit_count() for mask in masks] == [len(buckets.get(k, ())) for k in range(4096)]
@@ -181,13 +183,22 @@ def test_build_buckets_names_the_bad_end(ends, row, specs):
             read_ends(table)
 
 
-def test_end_hash_indices(end_for_hash):
-    index = build_buckets(_table(end_for_hash, [7, 3, 7]))
-    assert index.rows_for(7) == [0, 2]
-    assert index.rows_for(3) == [1]
-    assert index.rows_for(9999) == []
-    assert list(index.hashes) == [3, 7, 7]
+def test_end_hash_indices(end_for_hash, perm44):
+    table = _table(end_for_hash, [7, 3, 7])
+    index = build_buckets(table)
+    assert index.rows_for(7, end_for_hash[7]) == [0, 2]
+    assert index.rows_for(3, end_for_hash[3]) == [1]
+    assert index.rows_for(9999, end_for_hash[9999]) == []
+    assert sorted_end_hashes(table, perm44) == [3, 7, 7]
     assert list(index.rows) == [1, 0, 2]
+    assert index.ends == f"{end_for_hash[3]}\n{end_for_hash[7]}\n{end_for_hash[7]}\n"
+    assert index.offsets[:2].tolist() == [0, 3] and index.offsets[4096] == 3
+
+
+def test_empty_table_has_an_empty_index():
+    index = build_buckets(RainbowTable([], [], 44))
+    assert len(index.rows) == 0 and index.ends == "" and not any(index.masks)
+    assert index.offsets[0] == index.offsets[4096] == 0
 
 
 def test_chains_view_reads_the_columns(table100, tmp_path):
@@ -363,7 +374,8 @@ def test_loaded_end_hashes_recomputed(perm44, specs, tmp_path):
     path = tmp_path / "t.txt"
     save_table(table, path)
     loaded = load_table(path)
-    assert build_buckets(loaded).hashes == build_buckets(table).hashes
+    assert build_buckets(loaded) == build_buckets(table)
     # sanity: recomputation really derives from the end plaintext
-    assert build_buckets(loaded).hashes.tolist() == [pearson16(table.chains[0].end, perm44)]
+    h = pearson16(table.chains[0].end, perm44)
+    assert build_buckets(loaded).buckets == {h // BUCKET_WIDTH: [h % BUCKET_WIDTH]}
     assert md5_hex(loaded.chains[0].start) == md5_hex("monkey")
