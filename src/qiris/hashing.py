@@ -6,7 +6,9 @@ space, and the chain walk that alternates the two. `walk_chain` walks one
 chain, for crack and verify. `generate_table` walks a whole wordlist with
 `_walk_chains`, the same walk in numpy over chunks of rows: the texts after
 each word are fixed-length base62, so one RFC 1321 MD5 in numpy hashes a
-chunk's texts at once.
+chunk's texts at once. `build_permutation`'s Fisher-Yates shuffle is
+computed in numpy too: one stable sort of the swap draws, then pointer
+doubling to the value each swap leaves, identical to the swap loop.
 """
 
 import hashlib
@@ -115,18 +117,59 @@ def build_permutation(seed: int = DEFAULT_PERM_SEED) -> PearsonPermutation:
     stream's next output % (i + 1), so the table is reproducible
     bit-for-bit from the seed alone. The draws are computed in numpy, a
     chunk at a time: the stream is counter-based, so draw k + 1 onward is
-    the block for seed + k*gamma.
+    the block for seed + k*gamma. `_fisher_yates` then finds the table
+    those swaps leave without making them one by one.
     """
     seed = seed & MASK64
-    table = list(range(PERMUTATION_SIZE))
+    draws = np.zeros(PERMUTATION_SIZE, np.uint16)  # draws[i] is step i's; step 0 swaps 0 with 0
     for start in range(0, PERMUTATION_SIZE - 1, _DRAW_CHUNK):
         top = PERMUTATION_SIZE - start  # i + 1 for the chunk's first draw
         count = min(_DRAW_CHUNK, top - 1)
-        draws = splitmix64_block(seed + start * GAMMA, count)
+        block = splitmix64_block(seed + start * GAMMA, count)
         bounds = np.arange(top, top - count, -1, dtype=np.uint64)
-        for i, j in zip(range(top - 1, top - 1 - count, -1), (draws % bounds).tolist()):
-            table[i], table[j] = table[j], table[i]
-    return PearsonPermutation(table=tuple(table), seed=seed)
+        draws[top - count:top] = (block % bounds)[::-1]
+    return PearsonPermutation(table=tuple(_fisher_yates(draws).tolist()), seed=seed)
+
+
+def _fisher_yates(draws: np.ndarray) -> np.ndarray:
+    """The table left by swapping positions i and draws[i] of 0..n-1, for i
+    from n - 1 down to 1: n = len(draws) <= 65535, and uint16 draws[i] <= i.
+
+    Step i leaves position i final. It holds what position draws[i] held
+    just before step i: what the earliest later step with the same draw
+    moved there, or draws[i] if no later step drew it. A step i' moves there
+    what position i' held just before step i': by the same rule, what the
+    earliest step after i' that drew i' moved there, or i' itself. So each
+    value is the root of a forest over positions, found by pointer doubling.
+    One stable sort groups the steps by draw. A step that follows another is
+    never step 0, so 0 stands for "no such step".
+    """
+    n = len(draws)
+    order = np.argsort(draws, kind="stable").astype(np.uint16)
+    grouped = draws.take(order)
+    same = grouped[1:] == grouped[:-1]
+    # later[k]: the next step after step order[k] with the same draw
+    later = np.zeros(n, np.uint16)
+    np.multiply(order[1:], same, out=later[:-1])
+    # first[x]: the first step that drew x, the first after x unless it is
+    # x itself. Then nothing reads held[x]: step x's value comes from
+    # later[x], and no rule leads to a position whose own step drew it.
+    # Steps that are not their group's first all land in spare slot 0xFFFF.
+    starts = grouped.copy()
+    np.bitwise_or(grouped[1:], same * np.uint16(0xFFFF), out=starts[1:])
+    first = np.zeros(1 << 16, np.uint16)
+    first[starts] = order
+    # held[x]: first[x], or x itself where that is 0, pointer-doubled until
+    # it is what position x held just before step x
+    held = np.maximum(first[:n], np.arange(n, dtype=np.uint16))
+    while True:
+        up = held.take(held)
+        if np.array_equal(up, held):
+            break
+        held = up
+    table = np.empty(n, np.uint16)
+    table[order] = np.where(later == 0, grouped, held.take(later))
+    return table
 
 
 def pearson16(text: str, perm: PearsonPermutation) -> int:

@@ -311,7 +311,9 @@ def _read_text(path, label: str) -> str:
     """
     with open(path, "rb") as fh:
         text = fh.read().decode("latin-1")
-    crlf = text.find("\r\n")
+    # every row ends in the needle's "\n", so the two-character search is
+    # slow; a one-character scan rules out most files first
+    crlf = text.find("\r\n") if "\r" in text else -1
     if crlf >= 0:
         lineno = text.count("\n", 0, crlf) + 1
         raise ValueError(f"{label} {lineno}: file has CRLF line endings; use LF")

@@ -102,6 +102,7 @@ def test_generate_names_offending_line(tmp_path, capsys):
     "content,fragment",
     [
         (b"fine\r\nalso\r\n", "wordlist line 1: file has CRLF line endings"),
+        (b"fi\rne\nalso\r\n", "wordlist line 2: file has CRLF line endings"),
         (b"fine\ncaf\xe9\n", "wordlist line 2: start plaintext is not ASCII"),
     ],
 )
@@ -433,6 +434,7 @@ def test_compare_malformed_hashes_file(workspace, tmp_path, capsys):
     "body,fragment",
     [
         (b"%s\r\n%s\r\n", "hashes line 1: file has CRLF line endings"),
+        (b"%s\rjunk\n%s\r\n", "hashes line 2: file has CRLF line endings"),
         # a lone CR is part of its line, so the bad digest keeps its line number
         (b"%s\n%s\rjunk\n", "hashes line 2: not a 32-character hex digest"),
     ],

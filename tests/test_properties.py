@@ -10,6 +10,7 @@ import re
 from collections import Counter
 import tempfile
 
+import numpy as np
 import pytest
 from conftest import SplitMix64, sorted_end_hashes
 from hypothesis import example, given, reject, settings
@@ -19,6 +20,7 @@ from qiris.hashing import (
     BASE62_ALPHABET,
     PERMUTATION_SIZE,
     ReductionSpec,
+    _fisher_yates,
     build_permutation,
     md5_hex,
     normalize_digest,
@@ -766,6 +768,28 @@ def _sequential_permutation(seed):
 @pytest.mark.parametrize("seed", [0, 44, 2**64 - 1, 2**64 + 5])
 def test_permutation_matches_sequential_shuffle(seed):
     assert build_permutation(seed).table == _sequential_permutation(seed)
+
+
+def _swap_loop(draws):
+    table = list(range(len(draws)))
+    for i in range(len(draws) - 1, 0, -1):
+        table[i], table[draws[i]] = table[draws[i]], table[i]
+    return table
+
+
+_SHUFFLE_SIZES = st.integers(1, 64)
+
+
+@given(
+    st.one_of(
+        _SHUFFLE_SIZES.flatmap(lambda n: st.tuples(*(st.integers(0, i) for i in range(n)))),
+        _SHUFFLE_SIZES.map(lambda n: [0] * n),
+        _SHUFFLE_SIZES.map(lambda n: list(range(n))),  # every step swaps with itself
+        _SHUFFLE_SIZES.map(lambda n: [0, *range(n - 1)]),  # the longest chains of later swaps
+    )
+)
+def test_fisher_yates_matches_swap_loop(draws):
+    assert _fisher_yates(np.array(draws, np.uint16)).tolist() == _swap_loop(draws)
 
 
 @given(st.integers(0, 2**65), st.integers(0, 300), st.integers(0, 300))

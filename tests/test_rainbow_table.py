@@ -322,6 +322,8 @@ def test_load_accepts_largest_seed(specs, tmp_path):
         ("QIRIS v1 seed=44 chain=R1,R2,R3,R4\nhas space\tabc\n", "line 2: .* whitespace"),
         ("QIRIS v1 seed=44 chain=R1,R2,R3,R4\r\nfoo\tabc\r\n", "line 1: .* CRLF"),
         ("QIRIS v1 seed=44 chain=R1,R2,R3,R4\nfoo\tabc\nbar\tabc\r\n", "line 3: .* CRLF"),
+        # a lone CR does not end a line; the CRLF after it is named
+        ("QIRIS v1 seed=44 chain=R1,R2,R3,R4\nfo\ro\tabc\nbar\tabc\r\n", "line 3: .* CRLF"),
         # the first bad row is named, not a later one
         ("QIRIS v1 seed=44 chain=R1,R2,R3,R4\nfoo\tabc\nbar\tab\nb z\tabc\n", "line 3: end"),
         ("QIRIS v1 seed=44 chain=R1,R2,R3,R4\nfoo\tabc\nbar\tab!", "line 3: end"),
