@@ -61,7 +61,7 @@ def cmd_generate(args) -> int:
     if not 0 <= args.perm_seed <= MASK64:
         raise ValueError(f"--perm-seed must be in 0..{MASK64}, got {_clip(args.perm_seed)}")
     words = _read_wordlist(args.wordlist)
-    perm, _ = _permutation(args.perm_seed)
+    perm = _permutation(args.perm_seed)
     table = generate_table(words, canonical_reduction_specs(), perm)
     save_table(table, args.out)
     print(f"chains={len(table.starts)}")

@@ -7,8 +7,8 @@ chain, for crack and verify. `generate_table` walks a whole wordlist with
 `_walk_chains`, the same walk in numpy over chunks of rows: the texts after
 each word are fixed-length base62, so one RFC 1321 MD5 in numpy hashes a
 chunk's texts at once. `build_permutation`'s Fisher-Yates shuffle is
-computed in numpy too: one stable sort of the swap draws, then pointer
-doubling to the value each swap leaves, identical to the swap loop.
+computed in numpy too, identical to the swap loop, and its table is held
+once, as a read-only uint16 buffer that `pearson16` and numpy both read.
 """
 
 import hashlib
@@ -82,7 +82,7 @@ class ReductionSpec:
 class PearsonPermutation:
     """Seeded permutation of 0..65534 backing the 16-bit Pearson hash."""
 
-    table: tuple
+    table: memoryview  # read-only, format "H": 65535 native uint16, 128 KB
     seed: int
 
 
@@ -128,7 +128,7 @@ def build_permutation(seed: int = DEFAULT_PERM_SEED) -> PearsonPermutation:
         block = splitmix64_block(seed + start * GAMMA, count)
         bounds = np.arange(top, top - count, -1, dtype=np.uint64)
         draws[top - count:top] = (block % bounds)[::-1]
-    return PearsonPermutation(table=tuple(_fisher_yates(draws).tolist()), seed=seed)
+    return PearsonPermutation(table=memoryview(_fisher_yates(draws).tobytes()).cast("H"), seed=seed)
 
 
 def _fisher_yates(draws: np.ndarray) -> np.ndarray:

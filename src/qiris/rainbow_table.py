@@ -321,27 +321,25 @@ def _read_text(path, label: str) -> str:
 
 
 @lru_cache(maxsize=1)
-def _permutation(seed: int) -> tuple:
-    """The permutation for `seed` and its table as a numpy array.
-
-    Both are built once while `seed` is the last seed asked for.
-    """
-    perm = build_permutation(seed)
-    return perm, np.array(perm.table, dtype=np.intp)
+def _permutation(seed: int) -> PearsonPermutation:
+    """The permutation for `seed`, built once while `seed` is the last seed asked for."""
+    return build_permutation(seed)
 
 
 def build_buckets(table: RainbowTable) -> BucketIndex:
     """Hash every chain end and index the rows by bucket; the one place ends are hashed.
 
     The ends are hashed with the permutation for the table's seed, three
-    gathers through it over all rows at once, bit-identical to pearson16.
+    gathers over all rows at once through its uint16 table widened to intp
+    (a hash plus an end byte would wrap in uint16), bit-identical to pearson16.
     Each end hash h sets bit h % 16 of the mask under bucket key h // 16.
     The rows and their ends, ordered by end hash, cost 8 bytes per row;
     the bucket offsets cost 16 KB and the masks 8 KB. The permutation
     comes from a one-entry memo, so indexes built one after another over
     one seed share one permutation object and one build.
     """
-    perm, lookup = _permutation(table.perm_seed)
+    perm = _permutation(table.perm_seed)
+    lookup = np.frombuffer(perm.table, np.uint16).astype(np.intp)
     codes = table.end_codes
     h = np.full(len(codes), 3, np.intp)  # pearson16 starts at len(text)
     for column in codes.view(np.uint8).reshape(-1, 4)[:, :3].T:

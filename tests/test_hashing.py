@@ -65,7 +65,15 @@ def test_permutation_deterministic(perm44):
 
 
 def test_permutation_first_entries_frozen(perm44):
-    assert perm44.table[:8] == PERM44_FIRST8
+    assert tuple(perm44.table[:8]) == PERM44_FIRST8
+
+
+def test_permutation_is_compact_and_read_only(perm44):
+    # every index shares the memo's one permutation, so none may change it
+    assert perm44.table.format == "H" and perm44.table.readonly
+    assert perm44.table.nbytes == 2 * PERMUTATION_SIZE
+    with pytest.raises(TypeError):
+        perm44.table[0] = 1
 
 
 def test_permutation_seed_sensitivity(perm44):

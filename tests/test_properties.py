@@ -767,7 +767,7 @@ def _sequential_permutation(seed):
 
 @pytest.mark.parametrize("seed", [0, 44, 2**64 - 1, 2**64 + 5])
 def test_permutation_matches_sequential_shuffle(seed):
-    assert build_permutation(seed).table == _sequential_permutation(seed)
+    assert tuple(build_permutation(seed).table) == _sequential_permutation(seed)
 
 
 def _swap_loop(draws):

@@ -244,6 +244,19 @@ def test_end_chars_give_every_base62_end_its_own_character():
         assert table.rows_ending(ends[row]) == [row]
 
 
+def test_build_buckets_hashes_every_base62_end_as_pearson16(perm44):
+    # sums past 65535 occur only for some ends; a gather that wraps them
+    # in uint16 moves those ends to other buckets
+    ends = [a + b + c for a in BASE62_ALPHABET for b in BASE62_ALPHABET for c in BASE62_ALPHABET]
+    index = build_buckets(RainbowTable(["w"] * len(ends), ends, 44))
+    hashes = [pearson16(end, perm44) for end in ends]
+    assert [hashes[row] for row in index.rows] == sorted(hashes)
+    masks = [0] * len(index.masks)
+    for h in hashes:
+        masks[h // BUCKET_WIDTH] |= 1 << h % BUCKET_WIDTH
+    assert list(index.masks) == masks
+
+
 @pytest.mark.parametrize("field", ["starts", "ends", "perm_seed"])
 def test_table_is_frozen(table100, field):
     # a reassigned column would leave the cached end column stale
