@@ -146,14 +146,24 @@ def test_bucket_ranges_and_nonempty(buckets100):
         assert residues == sorted(set(residues))
 
 
-def test_bucket_reconstruction_roundtrip(table100, buckets100, perm44):
-    end_hashes = [pearson16(chain.end, perm44) for chain in table100.chains]
-    rebuilt = {
-        key * BUCKET_WIDTH + r for key, residues in buckets100.buckets.items() for r in residues
-    }
+@pytest.fixture(scope="module")
+def base62_table():
+    """One seed-44 row for each of the 238,328 three-character base62 ends."""
+    ends = [a + b + c for a in BASE62_ALPHABET for b in BASE62_ALPHABET for c in BASE62_ALPHABET]
+    return RainbowTable(["w"] * len(ends), ends, 44)
+
+
+# base62_table holds every end: sums past 65535 occur only for some, and a
+# gather that wraps them in uint16 moves those ends to other buckets
+@pytest.mark.parametrize("table_name", ["table100", "base62_table"])
+def test_bucket_reconstruction_roundtrip(table_name, request, perm44):
+    table = request.getfixturevalue(table_name)
+    index = build_buckets(table)
+    end_hashes = [pearson16(end, perm44) for end in table.ends]
+    rebuilt = {key * BUCKET_WIDTH + r for key, residues in index.buckets.items() for r in residues}
     assert rebuilt == set(end_hashes)
-    assert [end_hashes[row] for row in buckets100.rows] == sorted(end_hashes)
-    buckets, masks = buckets100.buckets, buckets100.masks
+    assert [end_hashes[row] for row in index.rows] == sorted(end_hashes)
+    buckets, masks = index.buckets, index.masks
     assert isinstance(masks, array) and masks.typecode == "H" and len(masks) == 4096
     assert [mask.bit_count() for mask in masks] == [len(buckets.get(k, ())) for k in range(4096)]
     marked = [h for h in range(1 << 16) if masks[h // BUCKET_WIDTH] >> h % BUCKET_WIDTH & 1]
@@ -234,27 +244,13 @@ def test_rows_ending_scans_the_end_column():
     assert min(map(ord, chars)) > 0xFFFF
 
 
-def test_end_chars_give_every_base62_end_its_own_character():
-    ends = [a + b + c for a in BASE62_ALPHABET for b in BASE62_ALPHABET for c in BASE62_ALPHABET]
-    table = RainbowTable(["w"] * len(ends), ends, 44)
-    chars = table.end_chars
+def test_end_chars_give_every_base62_end_its_own_character(base62_table):
+    ends = base62_table.ends
+    chars = base62_table.end_chars
     assert len(chars) == len(ends) == len(set(chars))
     assert min(map(ord, chars)) > 0xFFFF and max(map(ord, chars)) <= 0x10FFFF
     for row in [0, 1, 61, 62, 3843, 3844, 123_456, len(ends) - 1]:
-        assert table.rows_ending(ends[row]) == [row]
-
-
-def test_build_buckets_hashes_every_base62_end_as_pearson16(perm44):
-    # sums past 65535 occur only for some ends; a gather that wraps them
-    # in uint16 moves those ends to other buckets
-    ends = [a + b + c for a in BASE62_ALPHABET for b in BASE62_ALPHABET for c in BASE62_ALPHABET]
-    index = build_buckets(RainbowTable(["w"] * len(ends), ends, 44))
-    hashes = [pearson16(end, perm44) for end in ends]
-    assert [hashes[row] for row in index.rows] == sorted(hashes)
-    masks = [0] * len(index.masks)
-    for h in hashes:
-        masks[h // BUCKET_WIDTH] |= 1 << h % BUCKET_WIDTH
-    assert list(index.masks) == masks
+        assert base62_table.rows_ending(ends[row]) == [row]
 
 
 @pytest.mark.parametrize("field", ["starts", "ends", "perm_seed"])
