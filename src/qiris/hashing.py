@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prng import GAMMA, MASK64, splitmix64_block
+from .prng import MASK64, splitmix64_block
 
 BASE62_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -38,9 +38,6 @@ _BASE62_PAIRS = tuple(lo + hi for hi in BASE62_ALPHABET for lo in BASE62_ALPHABE
 # A reduction reads the first 4 digest bytes as a big-endian integer, the
 # same number as the first 8 hex characters.
 _prefix = struct.Struct(">I").unpack_from
-
-# Shuffle draws are made this many at a time, keeping numpy buffers small.
-_DRAW_CHUNK = 4096
 
 # `_walk_chains` walks this many rows at a time, keeping numpy buffers small.
 _WALK_CHUNK = 8192
@@ -115,19 +112,16 @@ def build_permutation(seed: int = DEFAULT_PERM_SEED) -> PearsonPermutation:
 
     The shuffle walks indices 65534 down to 1, swapping each with the
     stream's next output % (i + 1), so the table is reproducible
-    bit-for-bit from the seed alone. The draws are computed in numpy, a
-    chunk at a time: the stream is counter-based, so draw k + 1 onward is
-    the block for seed + k*gamma. `_fisher_yates` then finds the table
-    those swaps leave without making them one by one.
+    bit-for-bit from the seed alone. The 65534 draws are computed in numpy
+    as one block, and `_fisher_yates` then finds the table those swaps
+    leave without making them one by one.
     """
     seed = seed & MASK64
     draws = np.zeros(PERMUTATION_SIZE, np.uint16)  # draws[i] is step i's; step 0 swaps 0 with 0
-    for start in range(0, PERMUTATION_SIZE - 1, _DRAW_CHUNK):
-        top = PERMUTATION_SIZE - start  # i + 1 for the chunk's first draw
-        count = min(_DRAW_CHUNK, top - 1)
-        block = splitmix64_block(seed + start * GAMMA, count)
-        bounds = np.arange(top, top - count, -1, dtype=np.uint64)
-        draws[top - count:top] = (block % bounds)[::-1]
+    # the bounds stay a temporary: held through the shuffle, they raise its peak memory
+    draws[:0:-1] = splitmix64_block(seed, PERMUTATION_SIZE - 1) % np.arange(
+        PERMUTATION_SIZE, 1, -1, dtype=np.uint64
+    )
     return PearsonPermutation(table=memoryview(_fisher_yates(draws).tobytes()).cast("H"), seed=seed)
 
 

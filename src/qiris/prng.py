@@ -14,13 +14,18 @@ def splitmix64_block(seed: int, count: int) -> np.ndarray:
 
     The generator is counter-based (output k is a pure function of
     seed + k*gamma), so this vectorized form reproduces the sequential
-    generator's stream exactly.
+    generator's stream exactly. The steps work in place on one array, so
+    the block costs one temporary of its size beside it.
     """
-    ks = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(seed & MASK64) + ks * np.uint64(GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(GAMMA)
+    z += np.uint64(seed & MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def unit_floats(seed: int, count: int) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Rainbow table construction, persistence, and the bucket index.
 
 A table stores one chain per wordlist entry as two columns in row order: the
-starting plaintexts and the final 3-character reductions. `table.chains`
-views the columns as `Chain` rows without storing any. `generate_table`
-walks a wordlist's chains in numpy chunks (`hashing._walk_chains`), and
-`save_table` checks the columns whole before it writes. Each table also
+starting plaintexts and the final 3-character reductions. The table is
+itself the read-only sequence of its `Chain` rows, built from the columns on
+read, and `table.chains` is the table. `generate_table` walks a wordlist's
+chains in numpy chunks (`hashing._walk_chains`), and `save_table` checks
+the columns whole before it writes. Each table also
 derives, once, a packed end column: one uint32 per row holding the end's 3
 bytes and a newline, which the bucket index hashes. The classical baseline
 finds the rows ending in a text by one O(N) `str.find` over a string of one
@@ -74,40 +75,13 @@ class Chain:
     end: str
 
 
-class _Chains(Sequence):
-    """Read-only view of a table's rows as `Chain` items; stores no row objects."""
-
-    __slots__ = ("_starts", "_ends")
-
-    def __init__(self, starts, ends):
-        self._starts = starts
-        self._ends = ends
-
-    def __len__(self):
-        return len(self._starts)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [Chain(s, e) for s, e in zip(self._starts[i], self._ends[i])]
-        return Chain(self._starts[i], self._ends[i])
-
-    def __iter__(self):
-        return map(Chain, self._starts, self._ends)
-
-    def __eq__(self, other):
-        if not isinstance(other, _Chains):
-            return NotImplemented
-        return self._starts == other._starts and self._ends == other._ends
-
-    def __repr__(self):
-        return f"chains({list(self)!r})"
-
-
 @dataclass(frozen=True)
-class RainbowTable:
+class RainbowTable(Sequence):
     """What a table file holds: the start and end columns in row order, and the seed.
 
-    `chains` views the columns as one `Chain` per row. The table is frozen,
+    The table is the read-only sequence of its rows: an index, a negative
+    index or a slice builds `Chain` items from the columns on read, and no
+    row object is stored. `chains` is the table itself. The table is frozen,
     so `end_codes` and `end_chars`, derived from `ends` once, cannot go stale.
     """
 
@@ -119,9 +93,20 @@ class RainbowTable:
         if len(self.starts) != len(self.ends):
             raise ValueError(f"{len(self.starts)} starts but {len(self.ends)} ends")
 
+    def __len__(self):
+        return len(self.starts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [Chain(s, e) for s, e in zip(self.starts[i], self.ends[i])]
+        return Chain(self.starts[i], self.ends[i])
+
+    def __iter__(self):
+        return map(Chain, self.starts, self.ends)
+
     @property
-    def chains(self) -> _Chains:
-        return _Chains(self.starts, self.ends)
+    def chains(self) -> "RainbowTable":
+        return self
 
     @cached_property
     def end_codes(self) -> np.ndarray:

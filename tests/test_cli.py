@@ -1,6 +1,10 @@
 import hashlib
+import importlib
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -509,6 +513,28 @@ def test_help_exits_0(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: qiris")
+
+
+def test_console_script_and_module_run_main(tmp_path):
+    # the `qiris` command an install makes, and `python -m qiris.cli`, both reach main
+    tomllib = pytest.importorskip("tomllib")  # standard from Python 3.11
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"qiris": "qiris.cli:main"}
+    module, _, name = scripts["qiris"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "qiris.cli", "--help"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: qiris")
 
 
 # sha256 of the table file `generate` writes from a seeded 20,000-word list,

@@ -794,7 +794,7 @@ def test_fisher_yates_matches_swap_loop(draws):
 
 @given(st.integers(0, 2**65), st.integers(0, 300), st.integers(0, 300))
 def test_splitmix64_block_offset_and_stream(seed, k, n):
-    # build_permutation and measure draw outputs k+1 onward as the block for seed + k*gamma
+    # measure draws outputs k+1 onward as the block for seed + k*gamma
     rng = SplitMix64(seed)
     stream = [rng.next_u64() for _ in range(k + n)]
     assert splitmix64_block(seed, k + n).tolist() == stream

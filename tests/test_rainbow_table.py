@@ -227,6 +227,15 @@ def test_chains_view_reads_the_columns(table100, tmp_path):
     save_table(table100, path)
     assert load_table(path).chains == chains
     assert chains != RainbowTable(table100.starts[:99], table100.ends[:99], 44).chains
+    # the table is itself the sequence of its rows
+    assert chains is table100 and isinstance(table100, Sequence)
+    assert len(table100) == 100
+    assert table100[-1] == rows[-1] and table100[2:5] == rows[2:5]
+    assert list(table100) == rows and list(reversed(table100)) == rows[::-1]
+    assert Chain(table100.starts[7], table100.ends[7]) in table100
+    assert Chain("absent", table100.ends[7]) not in table100
+    with pytest.raises(TypeError):
+        table100[0] = rows[1]
 
 
 def test_rows_ending_scans_the_end_column():
