@@ -4,22 +4,24 @@ A table stores one chain per wordlist entry as two columns in row order: the
 starting plaintexts and the final 3-character reductions. The table is
 itself the read-only sequence of its `Chain` rows, built from the columns on
 read, and `table.chains` is the table. `generate_table` walks a wordlist's
-chains in numpy chunks (`hashing._walk_chains`), and `save_table` checks
-the columns whole before it writes. Each table also
-derives, once, a packed end column: one uint32 per row holding the end's 3
-bytes and a newline, which the bucket index hashes. The classical baseline
-finds the rows ending in a text by one O(N) `str.find` over a string of one
-character per row. A table file is checked by one search of a row pattern
-over its body and split in one call; the first line the pattern refuses
-goes to the per-line row check, which makes the error. The bucket index
-Pearson-hashes all chain ends at once into 16-bit values whose high 12 bits
-select a bucket and whose low 4 bits are the residues searched at crack
-time. It keeps one 16-bit mask per bucket, bit r of bucket k's mask set
-when some end hashes to 16k + r, and the rows grouped by bucket with their
-ends beside them, so the rows ending in a given text are found by one
-search of that text's bucket.
+chains in numpy chunks (`hashing._walk_chains`). Each table also derives,
+once, a packed end column: one uint32 per row holding the end's 3 bytes and
+a newline, which the bucket index hashes. The classical baseline finds the
+rows ending in a text by one O(N) `str.find` over a string of one character
+per row. A table file is checked by one row pattern: `save_table` searches
+each chunk of rows it writes, to a file that replaces the path once whole,
+and `load_table` the whole body, which it then splits in one call. The first
+line the pattern refuses goes to the per-line row check, which makes the
+error. The bucket index Pearson-hashes all chain ends at once into 16-bit
+values whose high 12 bits select a bucket and whose low 4 bits are the
+residues searched at crack time. It keeps one 16-bit mask per bucket, bit r
+of bucket k's mask set when some end hashes to 16k + r, and the rows grouped
+by bucket with their ends beside them, so the rows ending in a given text
+are found by one search of that text's bucket.
 """
 
+import errno
+import os
 import re
 from array import array
 from collections.abc import Sequence
@@ -41,19 +43,18 @@ from .prng import MASK64
 TABLE_VERSION = 1
 BUCKET_WIDTH = 16
 
-# save_table joins this many rows into each write.
+# save_table joins, checks and writes this many rows at a time.
 _WRITE_CHUNK = 8192
 
 _HEADER_RE = re.compile(r"^QIRIS v(\d{1,20}) seed=(\d{1,20}) chain=R1,R2,R3,R4$")
 
 # The characters a start may hold: ASCII but not whitespace as str.split sees it.
 _START_CHARS = r"\x00-\x08\x0e-\x1b\x21-\x7f"
-_NOT_START_CHAR_RE = re.compile(f"[^{_START_CHARS}]")
 
 # A newline that no row follows, where a row is the row rule as a pattern:
 # start characters, one tab and a 3-base62 end, then a newline. Searched for
-# from the end of the header, it is found just before the first bad line, or
-# else at the file's last newline. A repeated group, `(?:row)*`, would do the
+# from a newline, it is found just before the first bad line after it, or
+# else at the text's last newline. A repeated group, `(?:row)*`, would do the
 # same in one match but keeps about 190 bytes of matcher state per row it
 # passes.
 _NO_ROW_AFTER_RE = re.compile(rf"\n(?![{_START_CHARS}]+\t[0-9A-Za-z]{{3}}\n)")
@@ -286,6 +287,15 @@ def _check_line(line: str, lineno: int) -> None:
     _check_row(*parts, f"line {lineno}")
 
 
+def _refused_line(text: str, pos: int = 0):
+    """The first line after the newline at or after `pos` that the row pattern
+    refuses, as `(line, lineno)` with `text`'s first line as 1, or None."""
+    bad = _NO_ROW_AFTER_RE.search(text, pos).end()
+    if bad == len(text):
+        return None
+    return text[bad:text.index("\n", bad)], text.count("\n", 0, bad) + 1
+
+
 def _read_text(path, label: str) -> str:
     """A text file's contents, refusing CRLF line endings by the first such line.
 
@@ -349,29 +359,46 @@ def build_buckets(table: RainbowTable) -> BucketIndex:
 def save_table(table: RainbowTable, path) -> None:
     """Write the table as ASCII text: a header line, then `start<TAB>end` rows.
 
-    Refuses, before `path` is opened, every table that load_table would:
-    no chains, a seed outside 0..2^64-1, or a row that breaks _check_row.
-    The columns are checked whole, and rows one by one only to name the
-    first refused row. So a save that returns is one load_table reads back
-    as an equal table.
+    Refuses what load_table would: no chains, a seed outside 0..2^64-1, or
+    a row that breaks _check_row, found by the row pattern in its chunk.
+    The rows go to a temporary file beside the regular file, or no file,
+    that `path` names, and it replaces that file once whole. So a save that
+    returns is one load_table reads back as an equal table, and any other
+    leaves `path` as it was.
     """
     if not table.starts:
         raise ValueError("table has no chains")
     if not 0 <= table.perm_seed <= MASK64:
         raise ValueError(f"permutation seed {table.perm_seed} is outside 0..{MASK64}")
     starts, ends = table.starts, table.ends
-    if not all(starts) or _NOT_START_CHAR_RE.search("".join(starts)):
-        # some start breaks the row rule; name the first refused row
-        for pos, (start, end) in enumerate(zip(starts, ends)):
-            _check_row(start, end, f"table.chains[{pos}]")
-    table.end_codes  # refuses a bad end as table.chains[i]
-    tabs, newlines = repeat("\t"), repeat("\n")
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(f"QIRIS v{TABLE_VERSION} seed={table.perm_seed} chain=R1,R2,R3,R4\n")
-        for i in range(0, len(starts), _WRITE_CHUNK):
-            # joins the column strings themselves, making no string per row
-            rows = zip(starts[i:i + _WRITE_CHUNK], tabs, ends[i:i + _WRITE_CHUNK], newlines)
-            fh.write("".join(chain.from_iterable(rows)))
+    real = os.path.realpath(path)
+    tmp = f"{real}.{os.urandom(4).hex()}.tmp"
+    try:
+        if os.path.exists(real) and not os.path.isfile(real):  # e.g. /dev/null, a FIFO
+            raise OSError(errno.EEXIST, "Not a regular file")
+        fh = open(tmp, "x", encoding="ascii", newline="")
+    except OSError as exc:
+        exc.filename = os.fspath(path)  # name the path asked for, not the temporary file
+        raise
+    try:
+        with fh:
+            fh.write(f"QIRIS v{TABLE_VERSION} seed={table.perm_seed} chain=R1,R2,R3,R4\n")
+            for i in range(0, len(starts), _WRITE_CHUNK):
+                j = min(i + _WRITE_CHUNK, len(starts))
+                # a newline, then each row as a line, joined from the column
+                # strings; a row holding a newline splits into more lines,
+                # which the pattern may accept, so the lines are counted too
+                rows = zip(starts[i:j], repeat("\t"), ends[i:j], repeat("\n"))
+                text = "".join(chain("\n", chain.from_iterable(rows)))
+                if _refused_line(text) or text.count("\n") != 1 + j - i:
+                    for pos in range(i, j):
+                        _check_row(starts[pos], ends[pos], f"table.chains[{pos}]")
+                    raise AssertionError(f"table.chains[{i}:{j}]: row pattern and rule disagree")
+                fh.write(text[1:])
+        os.replace(tmp, real)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_table(path) -> RainbowTable:
@@ -400,11 +427,10 @@ def load_table(path) -> RainbowTable:
     if seed > MASK64:
         raise ValueError(f"line 1: permutation seed {seed} does not fit in 64 bits")
 
-    bad = _NO_ROW_AFTER_RE.search(text, len(header)).end()
-    if bad < len(text):
-        lineno = text.count("\n", 0, bad) + 1
-        _check_line(text[bad:text.index("\n", bad)], lineno)
-        raise AssertionError(f"line {lineno}: the row pattern refused a row the row rule accepts")
+    refused = _refused_line(text, len(header))
+    if refused:
+        _check_line(*refused)
+        raise AssertionError(f"line {refused[1]}: row pattern and rule disagree")
     tokens = body.split()
     if not tokens:
         raise ValueError("table has no chains")

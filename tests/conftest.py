@@ -1,5 +1,6 @@
 import pytest
 
+from qiris import rainbow_table
 from qiris.hashing import (
     BASE62_ALPHABET,
     build_permutation,
@@ -138,3 +139,35 @@ def sorted_end_hashes(table, perm):
     """Every row's end hash, ascending: the order in which the bucket index
     holds the rows, derived from `table.ends` with pearson16."""
     return sorted(pearson16(end, perm) for end in table.ends)
+
+
+class _FailingFile:
+    """A file opened for writing whose fourth write raises `exc`: save_table
+    writes the header, then one write per chunk of rows, so the fourth is
+    the third chunk."""
+
+    def __init__(self, fh, exc):
+        self.fh, self.exc, self.writes = fh, exc, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 4:
+            raise self.exc
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+
+def fail_third_chunk_write(monkeypatch, exc):
+    """Make every file that `qiris.rainbow_table` opens for writing raise
+    `exc` when its third chunk of rows is written; reads are untouched."""
+
+    def opening(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return fh if "r" in mode else _FailingFile(fh, exc)
+
+    monkeypatch.setattr(rainbow_table, "open", opening, raising=False)

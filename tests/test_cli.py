@@ -1,12 +1,15 @@
+import errno
 import hashlib
 import importlib
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import fail_third_chunk_write
 
 from qiris import rainbow_table
 from qiris.cli import COMPARE_CSV_HEADER, main
@@ -55,6 +58,23 @@ def test_generate_is_byte_deterministic(workspace, tmp_path):
         ) == 0
     assert first.read_bytes() == second.read_bytes()
     assert first.read_bytes() == workspace["table"].read_bytes()
+
+
+def test_generate_failing_midway_keeps_the_old_table(workspace, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "t.txt"
+    shutil.copyfile(workspace["table"], out)
+    old = out.read_bytes()
+    words = tmp_path / "words.txt"
+    words.write_text("".join(f"w{i}\n" for i in range(20_000)), encoding="ascii")
+    fail_third_chunk_write(monkeypatch, OSError(errno.ENOSPC, "No space left on device"))
+    code = run_cli(["generate", "--wordlist", str(words), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err == "error: [Errno 28] No space left on device\n"
+    assert out.read_bytes() == old
+    assert sorted(os.listdir(tmp_path)) == ["t.txt", "words.txt"]
+    assert run_cli(["crack", "--table", str(out), md5_hex("qwerty")]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "qwerty"
 
 
 def test_generate_perm_seed_changes_header(workspace, tmp_path):

@@ -1,11 +1,15 @@
 import dataclasses
+import errno
 import hashlib
+import os
 import random
+import re
+import tracemalloc
 from array import array
 from collections.abc import Sequence
 
 import pytest
-from conftest import sorted_end_hashes
+from conftest import fail_third_chunk_write, sorted_end_hashes
 
 from qiris import hashing, rainbow_table
 from qiris.hashing import BASE62_ALPHABET, build_permutation, md5_hex, pearson16, walk_chain
@@ -370,6 +374,14 @@ def test_save_rejects_non_canonical_ends(tmp_path):
         save_table(table, tmp_path / "bad.txt")
 
 
+def _words(rows, bad_row=None, bad_start=None):
+    """Starts w0, w1, ... for `rows` rows, with `bad_start` at `bad_row`."""
+    starts = [f"w{i}" for i in range(rows)]
+    if bad_row is not None:
+        starts[bad_row] = bad_start
+    return starts
+
+
 @pytest.mark.parametrize(
     "starts,ends,seed,fragment",
     [
@@ -377,16 +389,98 @@ def test_save_rejects_non_canonical_ends(tmp_path):
         (["word"], ["abc"], -1, "seed -1"),
         (["word"], ["abc"], 2**64, "seed 18446744073709551616"),
         (["word", "é"], ["abc", "abc"], 44, r"\[1\]: .* ASCII"),
+        # a bad row in the second 8,192-row chunk is named by its table index
+        (
+            _words(8200, 8195, "a\tb"),
+            ["abc"] * 8200,
+            44,
+            r"^table\.chains\[8195\]: start plaintext contains whitespace$",
+        ),
+        (
+            _words(8200),
+            ["abc"] * 8199 + ["ab\n"],
+            44,
+            r"^table\.chains\[8199\]: end must be 3 base62 characters$",
+        ),
+        # a row holding a newline that splits it into two well-formed lines
+        (["a\tabc\nb"], ["xyz"], 44, r"^table\.chains\[0\]: start plaintext contains whitespace$"),
+        (["a", "b"], ["abc", "abc\nb\tcde"], 44, r"^table\.chains\[1\]: end must be 3 base62"),
     ],
-    ids=["empty", "negative-seed", "wide-seed", "late-bad-row"],
+    ids=[
+        "empty",
+        "negative-seed",
+        "wide-seed",
+        "late-bad-row",
+        "second-chunk-start",
+        "second-chunk-end",
+        "start-splits-into-rows",
+        "end-splits-into-rows",
+    ],
 )
 def test_save_refuses_before_opening(starts, ends, seed, fragment, tmp_path):
-    # a refused save leaves an existing file as it was
+    # a refused save leaves an existing file as it was, and no other file
     path = tmp_path / "table.txt"
     path.write_bytes(b"old bytes")
     with pytest.raises(ValueError, match=fragment):
         save_table(RainbowTable(starts, ends, seed), path)
     assert path.read_bytes() == b"old bytes"
+    assert os.listdir(tmp_path) == ["table.txt"]
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()],
+    ids=["ENOSPC", "KeyboardInterrupt"],
+)
+def test_save_failing_midway_leaves_the_old_file(exc, monkeypatch, tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_bytes(b"old bytes")
+    fail_third_chunk_write(monkeypatch, exc)
+    with pytest.raises(type(exc)) as raised:
+        save_table(RainbowTable(_words(20_000), ["abc"] * 20_000, 44), path)
+    assert raised.value is exc
+    assert path.read_bytes() == b"old bytes"
+    assert os.listdir(tmp_path) == ["table.txt"]
+
+
+@pytest.mark.parametrize("rows", [100_000, 300_000])
+def test_save_memory_does_not_grow_with_the_table(rows, tmp_path):
+    table = RainbowTable(_words(rows), ["abc"] * rows, 44)
+    tracemalloc.start()
+    try:
+        save_table(table, tmp_path / "table.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_save_through_a_symlink_rewrites_its_target(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_bytes(b"old bytes")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    table = RainbowTable(["word"], ["abc"], 44)
+    save_table(table, link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert load_table(target) == table
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "target.txt"]
+
+
+def test_save_into_a_missing_directory_names_the_path(tmp_path):
+    path = tmp_path / "missing" / "table.txt"
+    with pytest.raises(OSError, match=re.escape(str(path))):
+        save_table(RainbowTable(["word"], ["abc"], 44), path)
+    assert os.listdir(tmp_path) == []
+
+
+def test_save_refuses_a_path_that_is_not_a_regular_file(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    for path in (tmp_path, fifo):
+        with pytest.raises(OSError, match="Not a regular file: " + re.escape(repr(str(path)))):
+            save_table(RainbowTable(["word"], ["abc"], 44), path)
+    assert fifo.is_fifo() and os.listdir(tmp_path) == ["fifo"]
 
 
 def test_loaded_end_hashes_recomputed(perm44, specs, tmp_path):
