@@ -64,7 +64,7 @@ def cmd_generate(args) -> int:
     perm = _permutation(args.perm_seed)
     table = generate_table(words, canonical_reduction_specs(), perm)
     save_table(table, args.out)
-    print(f"chains={len(table.starts)}")
+    print(f"chains={len(table)}")
     print(f"buckets={sum(1 for mask in build_buckets(table).masks if mask)}")
     return EXIT_OK
 

@@ -216,8 +216,8 @@ def _base62(v: int, length: int) -> str:
     return text
 
 
-def _walk_chains(words, specs) -> list:
-    """`walk_chain` from each word's MD5 through `specs`: the ends, in row order.
+def _walk_chains(words, specs):
+    """`walk_chain` from each word's MD5 through `specs`: each chunk of words and its ends.
 
     Each word's own MD5 is hashlib's, one call per word, since words vary in
     length and may be non-ASCII. Every later text is `length` base62 bytes,
@@ -227,20 +227,17 @@ def _walk_chains(words, specs) -> list:
         raise ValueError("a chain walk needs at least one reduction")
     *inner, last = specs
     width = last.length
-    # The list is sized once and each chunk's digests are held as one
-    # buffer: a list grown chunk by chunk, or a chunk's digest objects held
-    # at once, each raised a long-running process's peak RSS by about 0.5-1 MB.
-    ends = [None] * len(words)
     for start in range(0, len(words), _WALK_CHUNK):
+        chunk = words[start:start + _WALK_CHUNK]
+        # one buffer of digests: a chunk's digest objects raised peak RSS
         digests = bytearray()
-        for word in words[start:start + _WALK_CHUNK]:
+        for word in chunk:
             digests += hashlib.md5(word.encode()).digest()
         prefixes = np.frombuffer(digests, ">u4")[::4].astype(np.uint64)
         for spec in inner:
             prefixes = _md5_prefixes(_base62_digits(prefixes, spec))
         text = _base62_digits(prefixes, last).T.tobytes().decode("ascii")
-        ends[start:start + _WALK_CHUNK] = [text[i:i + width] for i in range(0, len(text), width)]
-    return ends
+        yield chunk, [text[i:i + width] for i in range(0, len(text), width)]
 
 
 def _base62_digits(prefixes: np.ndarray, spec: ReductionSpec) -> np.ndarray:

@@ -1,23 +1,23 @@
 """Rainbow table construction, persistence, and the bucket index.
 
-A table stores one chain per wordlist entry as two columns in row order: the
-starting plaintexts and the final 3-character reductions. The table is
-itself the read-only sequence of its `Chain` rows, built from the columns on
-read, and `table.chains` is the table. `generate_table` walks a wordlist's
-chains in numpy chunks (`hashing._walk_chains`). Each table also derives,
-once, a packed end column: one uint32 per row holding the end's 3 bytes and
-a newline, which the bucket index hashes. The classical baseline finds the
-rows ending in a text by one O(N) `str.find` over a string of one character
-per row. A table file is checked by one row pattern: `save_table` searches
-each chunk of rows it writes, to a file that replaces the path once whole,
-and `load_table` the whole body, which it then splits in one call. The first
-line the pattern refuses goes to the per-line row check, which makes the
-error. The bucket index Pearson-hashes all chain ends at once into 16-bit
-values whose high 12 bits select a bucket and whose low 4 bits are the
-residues searched at crack time. It keeps one 16-bit mask per bucket, bit r
-of bucket k's mask set when some end hashes to 16k + r, and the rows grouped
-by bucket with their ends beside them, so the rows ending in a given text
-are found by one search of that text's bucket.
+A table stores one chain per wordlist entry, a starting plaintext and a
+final 3-character reduction, as its file's body holds them: one string of
+`start<TAB>end` lines and uint32 field offsets, read through views that
+slice fields out. `generate_table` walks a wordlist's chains in numpy chunks
+(`hashing._walk_chains`). A table's packed end column, one uint32 per row
+holding the end's 3 bytes and a newline, is what the bucket index hashes.
+The classical baseline finds the rows ending in a text by one O(N)
+`str.find` over a string of one character per row. One row pattern checks a
+body, once per table: in `load_table`, which then gathers the fields and the
+end column by one numpy scan of the bytes, or, for a table built in memory,
+in `save_table` or the end column. The first line the pattern refuses goes
+to the per-line row check, which makes the error. The bucket index
+Pearson-hashes all chain ends at once into 16-bit values whose high 12 bits
+select a bucket and whose low 4 bits are the residues searched at crack
+time. It keeps one 16-bit mask per bucket, bit r of bucket k's mask set when
+some end hashes to 16k + r, and the rows grouped by bucket with their ends
+beside them, so the rows ending in a given text are found by one search of
+that text's bucket.
 """
 
 import errno
@@ -32,7 +32,6 @@ from itertools import chain, repeat
 import numpy as np
 
 from .hashing import (
-    BASE62_ALPHABET,
     PERMUTATION_SIZE,
     PearsonPermutation,
     _walk_chains,
@@ -43,8 +42,8 @@ from .prng import MASK64
 TABLE_VERSION = 1
 BUCKET_WIDTH = 16
 
-# save_table joins, checks and writes this many rows at a time.
-_WRITE_CHUNK = 8192
+# A table is joined from lists, and saved, this many rows at a time.
+_CHUNK = 8192
 
 _HEADER_RE = re.compile(r"^QIRIS v(\d{1,20}) seed=(\d{1,20}) chain=R1,R2,R3,R4$")
 
@@ -58,8 +57,6 @@ _START_CHARS = r"\x00-\x08\x0e-\x1b\x21-\x7f"
 # same in one match but keeps about 190 bytes of matcher state per row it
 # passes.
 _NO_ROW_AFTER_RE = re.compile(rf"\n(?![{_START_CHARS}]+\t[0-9A-Za-z]{{3}}\n)")
-_BASE62_BYTE = np.zeros(256, bool)
-_BASE62_BYTE[list(BASE62_ALPHABET.encode())] = True
 
 # A base62 byte is one of the 75 values from ord("0") to ord("z"), so an
 # end's bytes read in radix 75 give each end its own code point. The points
@@ -76,30 +73,50 @@ class Chain:
     end: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RainbowTable(Sequence):
-    """What a table file holds: the start and end columns in row order, and the seed.
+    """What a table file holds: its rows, as the file's body holds them, and the seed.
 
-    The table is the read-only sequence of its rows: an index, a negative
-    index or a slice builds `Chain` items from the columns on read, and no
-    row object is stored. `chains` is the table itself. The table is frozen,
-    so `end_codes` and `end_chars`, derived from `ends` once, cannot go stale.
+    `body` is the file's text after the header: its newline, then each row as
+    a line, `start<TAB>end`. Field k begins at `offsets[k]` (2N + 1 entries)
+    and ends one character before the next: row r's start is field 2r, its
+    end field 2r + 1. `starts`, `ends` and the table, the sequence of its
+    `Chain` rows (`chains`), slice fields on read. Tables are equal when their
+    rows and seeds are; one built from two lists joins them once and accepts
+    any strings. Frozen, its row check and end column, made once, stay true.
     """
 
-    starts: list
-    ends: list
+    body: str
+    offsets: array
     perm_seed: int
 
-    def __post_init__(self):
-        if len(self.starts) != len(self.ends):
-            raise ValueError(f"{len(self.starts)} starts but {len(self.ends)} ends")
+    def __init__(self, starts, ends, perm_seed: int):
+        if len(starts) != len(ends):
+            raise ValueError(f"{len(starts)} starts but {len(ends)} ends")
+        chunks = range(0, len(starts), _CHUNK)
+        self._join(((starts[i:i + _CHUNK], ends[i:i + _CHUNK]) for i in chunks), perm_seed)
+
+    def _join(self, parts, perm_seed: int) -> None:
+        """Set body and offsets from `parts`, (starts, ends) chunks, one by one to bound memory."""
+        texts, offsets = ["\n"], array("I", [1])
+        for heads, tails in parts:
+            rows = zip(heads, repeat("\t"), tails, repeat("\n"))
+            texts.append("".join(chain.from_iterable(rows)))
+            # one byte per character, "?" for any past latin-1, so positions hold
+            found = _field_offsets(texts[-1].encode("latin-1", "replace"))
+            if len(found) != 2 * len(heads):
+                # a field holds a tab or a newline: place the fields by their lengths
+                sizes = chain.from_iterable(zip(map(len, heads), map(len, tails)))
+                found = np.cumsum(np.fromiter(sizes, np.intp, 2 * len(heads)) + 1)
+            offsets.frombytes((found + offsets[-1]).astype(np.uintc).tobytes())
+        vars(self).update(body="".join(texts), offsets=offsets, perm_seed=perm_seed)
 
     def __len__(self):
-        return len(self.starts)
+        return len(self.offsets) // 2
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [Chain(s, e) for s, e in zip(self.starts[i], self.ends[i])]
+            return [self[row] for row in range(len(self))[i]]
         return Chain(self.starts[i], self.ends[i])
 
     def __iter__(self):
@@ -110,28 +127,30 @@ class RainbowTable(Sequence):
         return self
 
     @cached_property
-    def end_codes(self) -> np.ndarray:
-        """The packed end column: each row's 3 end bytes and a newline as a
-        little-endian uint32, once every end is 3 base62 characters.
+    def starts(self) -> "_Column":
+        return _Column(self, 0)
 
-        An end that breaks the row rule is named as `table.chains[i]`.
-        """
-        # A newline follows every end, so a text of 4 bytes per end whose
-        # first 3 of each 4 are base62 has its N newlines at every 4th byte:
-        # each end is then exactly the 3 bytes before one, and no end is cut
-        # or shifted. The last newline is added to the bytes, so the ends
-        # list is not copied for it, and the joined str is gone by then. A
-        # non-ASCII character encodes as "?", which is no base62 byte.
-        if not self.ends:
-            return np.frombuffer(b"", "<u4")
-        data = "\n".join(self.ends).encode("ascii", "replace") + b"\n"
-        if len(data) == 4 * len(self.ends):
-            codes = np.frombuffer(data, "<u4")
-            if _BASE62_BYTE[codes.view(np.uint8).reshape(-1, 4)[:, :3]].all():
-                return codes
-        # some end failed the check above, and this loop raises at the first one
-        for pos, end in enumerate(self.ends):
-            _check_end(end, f"table.chains[{pos}]")
+    @cached_property
+    def ends(self) -> "_Column":
+        return _Column(self, 1)
+
+    @cached_property
+    def _checked(self) -> bool:
+        """True when the row pattern accepts `body` with one line per row (a
+        field holding a newline makes lines the pattern may accept); else the
+        first row that breaks the rule is named as `table.chains[i]`."""
+        if _refused_line(self.body) is None and self.body.count("\n") == len(self) + 1:
+            return True
+        for pos, row in enumerate(self):
+            _check_row(row.start, row.end, f"table.chains[{pos}]")
+        raise AssertionError("table.chains: row pattern and rule disagree")
+
+    @cached_property
+    def end_codes(self) -> np.ndarray:
+        """The packed end column: each row's 3 end bytes and a newline as a read-only
+        little-endian uint32, once the rows keep the row rule (`_checked`)."""
+        self._checked  # noqa: B018  (raises at the first row that breaks the rule)
+        return _end_column(self.body.encode("ascii"), np.frombuffer(self.offsets, np.uintc))
 
     @cached_property
     def end_chars(self) -> str:
@@ -150,7 +169,7 @@ class RainbowTable(Sequence):
 
         A `text` that is not 3 base62 characters matches no row.
         """
-        chars = self.end_chars  # a bad end is refused whatever `text` is
+        chars = self.end_chars  # a bad row is refused whatever `text` is
         if not _is_end(text):
             return []
         point = _end_point(text)
@@ -165,6 +184,36 @@ class RainbowTable(Sequence):
 def _end_point(end: str) -> str:
     """The character that stands for the 3-base62 `end` in `table.end_chars`."""
     return chr((ord(end[0]) * _POINT_RADIX + ord(end[1])) * _POINT_RADIX + ord(end[2]))
+
+
+class _Column(Sequence):
+    """A table's starts (field 0) or ends (1); a slice of it is a list."""
+
+    def __init__(self, table: RainbowTable, field: int):
+        self._body, self._offsets = table.body, table.offsets
+        self._fields = range(field, 2 * len(table), 2)
+
+    def __len__(self):
+        return len(self._fields)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[row] for row in range(len(self))[i]]
+        k = self._fields[i]
+        return self._body[self._offsets[k]:self._offsets[k + 1] - 1]
+
+
+def _field_offsets(data: bytes) -> np.ndarray:
+    """Where each field of a body's rows begins: one past each tab and newline."""
+    chars = np.frombuffer(data, np.uint8)
+    return np.flatnonzero((chars == 9) | (chars == 10)) + 1
+
+
+def _end_column(data: bytes, offsets: np.ndarray) -> np.ndarray:
+    """The read-only end column of a checked body: each end's 4 bytes, its 3 and a newline."""
+    codes = np.ndarray((max(len(data) - 3, 0),), "<u4", data, strides=(1,))[offsets[1::2]]
+    codes.flags.writeable = False
+    return codes
 
 
 @dataclass
@@ -231,8 +280,9 @@ def generate_table(wordlist, specs, perm: PearsonPermutation) -> RainbowTable:
     starts = list(wordlist)
     if not starts:
         raise ValueError("wordlist is empty")
-    ends = _walk_chains(starts, specs)
-    return RainbowTable(starts, ends, perm.seed)
+    table = RainbowTable.__new__(RainbowTable)  # joined chunk by chunk as the walk goes
+    table._join(_walk_chains(starts, specs), perm.seed)
+    return table
 
 
 def _clip(value, limit: int = 60) -> str:
@@ -267,16 +317,11 @@ def _is_end(text: str) -> bool:
     return len(text) == 3 and text.isascii() and text.isalnum()
 
 
-def _check_end(end: str, where: str) -> None:
-    """Reject a chain end unless it is 3 base62 characters."""
-    if not _is_end(end):
-        raise ValueError(f"{where}: end must be 3 base62 characters")
-
-
 def _check_row(start: str, end: str, where: str) -> None:
     """The file format's row rule: a plaintext start and a 3-base62 chain end."""
     _check_plaintext(start, where)
-    _check_end(end, where)
+    if not _is_end(end):
+        raise ValueError(f"{where}: end must be 3 base62 characters")
 
 
 def _check_line(line: str, lineno: int) -> None:
@@ -359,18 +404,18 @@ def build_buckets(table: RainbowTable) -> BucketIndex:
 def save_table(table: RainbowTable, path) -> None:
     """Write the table as ASCII text: a header line, then `start<TAB>end` rows.
 
-    Refuses what load_table would: no chains, a seed outside 0..2^64-1, or
-    a row that breaks _check_row, found by the row pattern in its chunk.
-    The rows go to a temporary file beside the regular file, or no file,
-    that `path` names, and it replaces that file once whole. So a save that
-    returns is one load_table reads back as an equal table, and any other
-    leaves `path` as it was.
+    Refuses what load_table would: no chains, a seed outside 0..2^64-1, or a
+    row that breaks _check_row, found by the table's one row-pattern search.
+    The body goes in chunks of rows to a temporary file beside the regular
+    file, or no file, that `path` names, which it replaces once whole. So a
+    save that returns is one load_table reads back as an equal table, and
+    any other leaves `path` as it was.
     """
-    if not table.starts:
+    if not len(table):
         raise ValueError("table has no chains")
     if not 0 <= table.perm_seed <= MASK64:
         raise ValueError(f"permutation seed {table.perm_seed} is outside 0..{MASK64}")
-    starts, ends = table.starts, table.ends
+    table._checked  # noqa: B018  (raises at the first row that breaks the rule)
     real = os.path.realpath(path)
     tmp = f"{real}.{os.urandom(4).hex()}.tmp"
     try:
@@ -383,18 +428,9 @@ def save_table(table: RainbowTable, path) -> None:
     try:
         with fh:
             fh.write(f"QIRIS v{TABLE_VERSION} seed={table.perm_seed} chain=R1,R2,R3,R4\n")
-            for i in range(0, len(starts), _WRITE_CHUNK):
-                j = min(i + _WRITE_CHUNK, len(starts))
-                # a newline, then each row as a line, joined from the column
-                # strings; a row holding a newline splits into more lines,
-                # which the pattern may accept, so the lines are counted too
-                rows = zip(starts[i:j], repeat("\t"), ends[i:j], repeat("\n"))
-                text = "".join(chain("\n", chain.from_iterable(rows)))
-                if _refused_line(text) or text.count("\n") != 1 + j - i:
-                    for pos in range(i, j):
-                        _check_row(starts[pos], ends[pos], f"table.chains[{pos}]")
-                    raise AssertionError(f"table.chains[{i}:{j}]: row pattern and rule disagree")
-                fh.write(text[1:])
+            for i in range(0, len(table), _CHUNK):
+                j = min(i + _CHUNK, len(table))
+                fh.write(table.body[table.offsets[2 * i]:table.offsets[2 * j]])
         os.replace(tmp, real)
     except BaseException:
         os.remove(tmp)
@@ -404,17 +440,17 @@ def save_table(table: RainbowTable, path) -> None:
 def load_table(path) -> RainbowTable:
     """Read a table file written by save_table.
 
-    The permutation seed comes from the header; the end hashes are derived
-    from it by build_buckets. One search of the row pattern checks the
-    body, which is then split into its rows in one call. Malformed headers,
-    unsupported versions and malformed rows are refused with the number of
-    the offending line: for rows, the first line the pattern refuses,
-    whose error _check_line makes.
+    The permutation seed comes from the header; build_buckets derives the end
+    hashes from it. One search of the row pattern checks the body, kept whole;
+    one numpy scan of its bytes finds the field offsets and the end column.
+    Malformed headers, unsupported versions and malformed rows are refused
+    with the number of the offending line: for rows, the first line the
+    pattern refuses, whose error _check_line makes.
     """
     text = _read_text(path, "line")
     if not text.endswith("\n"):
         text += "\n"
-    header, _, body = text.partition("\n")
+    header = text[:text.index("\n")]
     if not header:
         raise ValueError("line 1: missing table header")
     match = _HEADER_RE.match(header)
@@ -431,7 +467,14 @@ def load_table(path) -> RainbowTable:
     if refused:
         _check_line(*refused)
         raise AssertionError(f"line {refused[1]}: row pattern and rule disagree")
-    tokens = body.split()
-    if not tokens:
+    body = text[len(header):]
+    if body == "\n":
         raise ValueError("table has no chains")
-    return RainbowTable(tokens[0::2], tokens[1::2], seed)
+    if len(body) > 0xFFFFFFFF:
+        raise ValueError("table file is 4 GiB or more")
+    data = body.encode("ascii")
+    offsets = _field_offsets(data)
+    table = RainbowTable.__new__(RainbowTable)  # checked above, with its end column stored
+    vars(table).update(body=body, offsets=array("I", offsets.astype(np.uintc).tobytes()),
+                       perm_seed=seed, _checked=True, end_codes=_end_column(data, offsets))
+    return table

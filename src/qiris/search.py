@@ -128,10 +128,10 @@ def crack(
         raise ValueError(
             f"permutation seed {perm.seed} does not match table seed {table.perm_seed}"
         )
-    if len(buckets.rows) != len(table.ends) or buckets.perm.seed != table.perm_seed:
+    if len(buckets.rows) != len(table) or buckets.perm.seed != table.perm_seed:
         raise ValueError(
             f"index over {len(buckets.rows)} rows with seed {buckets.perm.seed} was not "
-            f"built from this table ({len(table.ends)} rows, seed {table.perm_seed})"
+            f"built from this table ({len(table)} rows, seed {table.perm_seed})"
         )
     report = SearchReport()
     n = len(specs)
@@ -183,5 +183,5 @@ def crack_classical_scan(hash_hex: str, table: RainbowTable, specs) -> tuple:
             candidate, candidate_hash = rebuild_chain(table.starts[row], specs[: n - i])
             if candidate_hash == query:
                 return candidate, scanned + row + 1
-        scanned += len(table.starts)
+        scanned += len(table.end_chars)  # the column scanned; len(table) is a Python call
     return None, scanned

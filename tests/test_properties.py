@@ -685,7 +685,7 @@ def test_crack_agrees_with_classical(
     ]
     ends = [end for end in ends if end]
     fillers = [f"fill{i}" for i in range(len(ends))]
-    table = RainbowTable(table.starts + fillers, table.ends + ends, table.perm_seed)
+    table = RainbowTable(list(table.starts) + fillers, list(table.ends) + ends, table.perm_seed)
     index = build_buckets(table)
     queries = [rebuild_chain(words[row % len(words)], specs[:depth])[1] for row, depth in hits]
     queries += [md5_hex(b"miss:" + data) for data in misses]

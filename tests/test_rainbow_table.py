@@ -48,7 +48,7 @@ def test_generate_walks_each_row_alone_across_chunk_edges(perm44, specs):
     rng = random.Random(17)
     words = [format(rng.getrandbits(rng.randint(4, 60)), "x") for _ in range(2 * chunk + 1)]
     table = generate_table(words, specs, perm44)
-    assert table.ends == [walk_chain(hashlib.md5(w.encode()).digest(), specs) for w in words]
+    assert list(table.ends) == [walk_chain(hashlib.md5(w.encode()).digest(), specs) for w in words]
     for k in (chunk - 1, chunk, chunk + 1):
         head = RainbowTable(words[:k], table.ends[:k], 44)
         assert generate_table(words[:k], specs, perm44) == head
@@ -242,6 +242,83 @@ def test_chains_view_reads_the_columns(table100, tmp_path):
         table100[0] = rows[1]
 
 
+@pytest.mark.parametrize("field", ["starts", "ends"])
+def test_columns_slice_their_fields_out_of_the_body(table100, field):
+    column = getattr(table100, field)
+    values = [getattr(row, field[:-1]) for row in table100]
+    assert isinstance(column, Sequence) and len(column) == 100
+    assert column[0] == values[0] and column[-1] == values[-1] and column[-100] == values[0]
+    assert column[2:5] == values[2:5] and column[::-7] == values[::-7] and column[7:7] == []
+    assert type(column[2:5]) is list and list(column) == values
+    for i in (100, -101):
+        with pytest.raises(IndexError):
+            column[i]
+    with pytest.raises(TypeError):
+        column[0] = values[1]
+
+
+def test_tables_are_equal_when_their_rows_and_seeds_are(table100, tmp_path):
+    starts, ends = list(table100.starts), list(table100.ends)
+    table = RainbowTable(starts, ends, 44)
+    path = tmp_path / "table.txt"
+    save_table(table, path)
+    assert load_table(path) == table == table100
+    assert table != RainbowTable(starts[:99], ends[:99], 44)
+    assert table != RainbowTable(starts, ends, 45)
+    # fields holding a tab or a newline are placed by their lengths, so the
+    # rows read back as given, and two tables of one body can differ
+    rows = [Chain("a\tabc\nb", "xyz"), Chain("", "é€"), Chain("c", "\t")]
+    odd = RainbowTable([row.start for row in rows], [row.end for row in rows], 44)
+    assert list(odd) == rows and odd[-3] == rows[0] and odd[1:] == rows[1:]
+    assert RainbowTable(["a\tb"], ["c"], 44) != RainbowTable(["a"], ["b\tc"], 44)
+
+
+def test_row_rule_is_searched_once_per_table(monkeypatch, tmp_path):
+    # save_table and the end column share one search of a table built in
+    # memory; a loaded table was searched by load_table, which stored its
+    # end column
+    searched = []
+
+    def searching(text, pos=0):
+        searched.append(pos)
+        return refused_line(text, pos)
+
+    refused_line = rainbow_table._refused_line
+    monkeypatch.setattr(rainbow_table, "_refused_line", searching)
+    table = RainbowTable(_words(20_000), ["abc"] * 20_000, 44)
+    path = tmp_path / "table.txt"
+    save_table(table, path)
+    build_buckets(table)
+    save_table(table, path)
+    assert len(searched) == 1
+    loaded = load_table(path)
+    assert len(searched) == 2 and "end_codes" in vars(loaded)
+    assert build_buckets(loaded) == build_buckets(table)
+    save_table(loaded, path)
+    assert len(searched) == 2
+    assert loaded.end_codes.tobytes() == table.end_codes.tobytes()
+    assert not loaded.end_codes.flags.writeable
+    # the end column keeps the whole row rule, as save_table does
+    bad = RainbowTable(["w0", "a b"], ["abc", "abc"], 44)
+    for read_rows in (build_buckets, lambda rows: save_table(rows, path)):
+        with pytest.raises(ValueError, match=r"^table\.chains\[1\]: .* whitespace$"):
+            read_rows(bad)
+
+
+def test_loaded_table_memory(tmp_path):
+    # the loaded rows are one string and one offset array, not a string per row
+    rows = 100_000
+    path = tmp_path / "table.txt"
+    save_table(RainbowTable(_words(rows), ["abc"] * rows, 44), path)
+    tracemalloc.start()
+    try:
+        table = load_table(path)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == rows and held < 4 * 2**20
+
+
 def test_rows_ending_scans_the_end_column():
     table = RainbowTable(["a", "b", "c", "d", "e"], ["xk9", "abc", "xk9", "Z0z", "xk9"], 44)
     assert table.rows_ending("xk9") == [0, 2, 4]
@@ -266,7 +343,7 @@ def test_end_chars_give_every_base62_end_its_own_character(base62_table):
         assert base62_table.rows_ending(ends[row]) == [row]
 
 
-@pytest.mark.parametrize("field", ["starts", "ends", "perm_seed"])
+@pytest.mark.parametrize("field", ["starts", "ends", "perm_seed", "body", "offsets"])
 def test_table_is_frozen(table100, field):
     # a reassigned column would leave the cached end column stale
     with pytest.raises(dataclasses.FrozenInstanceError):
