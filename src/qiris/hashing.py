@@ -3,10 +3,12 @@
 MD5 digests, the seeded 16-bit Pearson hash used to bucket chain ends, the
 base62 reduction functions R1..R4 that map digests back into the plaintext
 space, and the chain walk that alternates the two. `walk_chain` walks one
-chain, for crack and verify. `generate_table` walks a whole wordlist with
-`_walk_chains`, the same walk in numpy over chunks of rows: the texts after
-each word are fixed-length base62, so one RFC 1321 MD5 in numpy hashes a
-chunk's texts at once. `build_permutation`'s Fisher-Yates shuffle is
+chain with hashlib, for crack and verify. `generate_table` walks a whole
+wordlist with `_walk_chains`, the same walk in numpy over chunks of rows.
+One RFC 1321 block step in numpy, `_md5_block`, takes the padded message
+words of all rows at once: first of the words' UTF-8 bytes, block j of every
+word that has one, each padded with its own length; then of the fixed-length
+base62 texts after them. `build_permutation`'s Fisher-Yates shuffle is
 computed in numpy too, identical to the swap loop, and its table is held
 once, as a read-only uint16 buffer that `pearson16` and numpy both read.
 """
@@ -38,9 +40,6 @@ _BASE62_PAIRS = tuple(lo + hi for hi in BASE62_ALPHABET for lo in BASE62_ALPHABE
 # A reduction reads the first 4 digest bytes as a big-endian integer, the
 # same number as the first 8 hex characters.
 _prefix = struct.Struct(">I").unpack_from
-
-# `_walk_chains` walks this many rows at a time, keeping numpy buffers small.
-_WALK_CHUNK = 8192
 
 _BASE62_BYTES = np.frombuffer(BASE62_ALPHABET.encode(), np.uint8)
 
@@ -216,28 +215,21 @@ def _base62(v: int, length: int) -> str:
     return text
 
 
-def _walk_chains(words, specs):
-    """`walk_chain` from each word's MD5 through `specs`: each chunk of words and its ends.
+def _walk_chains(messages: list, lengths: np.ndarray, specs) -> np.ndarray:
+    """`walk_chain` from the MD5 of each of `messages`, bytes of the given
+    `lengths`, through `specs`: the ends as an (n, length) uint8 array whose
+    row k holds the base62 bytes of message k's end.
 
-    Each word's own MD5 is hashlib's, one call per word, since words vary in
-    length and may be non-ASCII. Every later text is `length` base62 bytes,
-    so numpy reduces and hashes all rows of a chunk at once.
+    The messages' own MD5s go block by block over all rows. Every later text
+    is `length` base62 bytes, so numpy reduces and hashes all rows at once.
     """
     if not specs:
         raise ValueError("a chain walk needs at least one reduction")
     *inner, last = specs
-    width = last.length
-    for start in range(0, len(words), _WALK_CHUNK):
-        chunk = words[start:start + _WALK_CHUNK]
-        # one buffer of digests: a chunk's digest objects raised peak RSS
-        digests = bytearray()
-        for word in chunk:
-            digests += hashlib.md5(word.encode()).digest()
-        prefixes = np.frombuffer(digests, ">u4")[::4].astype(np.uint64)
-        for spec in inner:
-            prefixes = _md5_prefixes(_base62_digits(prefixes, spec))
-        text = _base62_digits(prefixes, last).T.tobytes().decode("ascii")
-        yield chunk, [text[i:i + width] for i in range(0, len(text), width)]
+    prefixes = _message_prefixes(messages, lengths)
+    for spec in inner:
+        prefixes = _md5_prefixes(_text_words(_base62_digits(prefixes, spec)))
+    return _base62_digits(prefixes, last).T
 
 
 def _base62_digits(prefixes: np.ndarray, spec: ReductionSpec) -> np.ndarray:
@@ -259,52 +251,92 @@ def _base62_digits(prefixes: np.ndarray, spec: ReductionSpec) -> np.ndarray:
     return digits
 
 
-def _md5_prefixes(text: np.ndarray) -> np.ndarray:
-    """The reduction prefix of the MD5 of every column of `text`, an
-    (L, N) array of byte k of N texts of L bytes each, as uint64.
+def _message_prefixes(messages: list, lengths: np.ndarray) -> np.ndarray:
+    """The reduction prefix of the MD5 of each of `messages` as uint64.
 
-    RFC 1321 over the texts' padded blocks, (16 * B, N) little-endian uint32
-    words where B is the block count, one step over all N texts at a time.
-    The prefix is the digest's first 4 bytes read big-endian: the byte-swapped
-    first state word.
+    Messages of any lengths go through RFC 1321 block by block: block j of
+    every message that has one at once, each padded with its own length. So
+    memory is 64 bytes a row, and the steps run grow with the longest message,
+    not with how many lengths there are.
+    """
+    blocks = (lengths + 8) // 64 + 1
+    state = [np.full(len(messages), s, np.uint32) for s in _MD5_INIT]
+    rows = np.arange(len(messages))
+    for j in range(int(blocks.max())):
+        rows = rows[blocks[rows] > j]
+        # np.array keeps each message's first 64 bytes, NULs included, zero-filled
+        part = [messages[i][64 * j:64 * j + 64] for i in rows.tolist()] if j else messages
+        block = np.array(part, "S64").view(np.uint8).reshape(len(rows), 64)
+        tail = lengths[rows] - 64 * j
+        ending = np.flatnonzero((tail >= 0) & (tail < 64))
+        block[ending, tail[ending]] = 0x80
+        last = blocks[rows] == j + 1
+        block.view("<u8")[last, 7] = 8 * lengths[rows[last]]
+        every = slice(None) if j == 0 else rows  # a slice is a view, and costs no gather
+        before = [x[every] for x in state]
+        for x, y, z in zip(state, before, _md5_block(before, block.view("<u4").T)):
+            x[every] = y + z
+    return state[0].byteswap().astype(np.uint64)
+
+
+def _text_words(text: np.ndarray) -> list:
+    """The padded MD5 message words of every column of `text`, an (L, N)
+    array of byte k of N texts of L bytes each: (N,) uint32 arrays for the
+    words holding text bytes, then the padding's words as ints, the same in
+    every row.
     """
     length, n = text.shape
-    blocks = (length + 8) // 64 + 1
-    padding = bytearray(64 * blocks)
+    padding = bytearray(64 * ((length + 8) // 64 + 1))
     padding[length] = 0x80
     padding[-8:] = (8 * length).to_bytes(8, "little")
-    padding = struct.unpack(f"<{16 * blocks}I", padding)
-    # the words holding text bytes; every later word holds padding only,
-    # the same in every row
+    padding = struct.unpack(f"<{len(padding) // 4}I", padding)
     message = np.zeros(((length + 3) // 4, n, 4), np.uint8)
     for k in range(length):
         message[k // 4, :, k % 4] = text[k]
     message = message.view("<u4")[..., 0]
     message += np.array(padding[:len(message)], np.uint32)[:, None]
-    words = [*message, *padding[len(message):]]
-    state = [np.full(n, s, np.uint32) for s in _MD5_INIT]
-    for block in range(blocks):
-        m = words[16 * block:16 * block + 16]
-        a, b, c, d = state
-        # steps 61-63 only carry step 60's b into a, so the last block stops there
-        for i in range(61 if block == blocks - 1 else 64):
-            if i < 16:
-                f = d ^ (b & (c ^ d))
-            elif i < 32:
-                f = c ^ (d & (b ^ c))
-            elif i < 48:
-                f = b ^ c ^ d
-            else:
-                f = c ^ (b | ~d)
-            f += a
-            word = m[_MD5_WORD[i]]
-            if isinstance(word, int):
-                f += (word + _MD5_K[i]) & 0xFFFFFFFF
-            else:
-                f += word
-                f += _MD5_K[i]
-            s = _MD5_S[i]
-            a, d, c, b = d, c, b, b + (f << s | f >> (32 - s))
-        if block < blocks - 1:
-            state = [x + y for x, y in zip(state, (a, b, c, d))]
+    return [*message, *padding[len(message):]]
+
+
+def _md5_prefixes(words) -> np.ndarray:
+    """The reduction prefix of the MD5 of N padded messages of B blocks, given
+    as their 16 * B message words (see `_md5_block`), the first an array.
+
+    The prefix is the digest's first 4 bytes read big-endian: the
+    byte-swapped first state word.
+    """
+    state = [np.full(len(words[0]), s, np.uint32) for s in _MD5_INIT]
+    for block in range(len(words) // 16 - 1):
+        state = [x + y for x, y in zip(state, _md5_block(state, words[16 * block:16 * block + 16]))]
+    # steps 61-63 only carry step 60's b into a, so the last block stops there
+    b = _md5_block(state, words[-16:], 61)[1]
     return (state[0] + b).byteswap().astype(np.uint64)
+
+
+def _md5_block(state, m, steps: int = 64) -> tuple:
+    """The first `steps` steps of RFC 1321's compression of one block into
+    `state`, four (N,) uint32 arrays, one step over all N messages at a time:
+    the working words a, b, c, d they leave, to be added to `state`. The 16
+    message words `m` are little-endian, each an (N,) uint32 array or an int
+    that every message shares.
+    """
+    a, b, c, d = state
+    for i in range(steps):
+        if i < 16:
+            f = d ^ (b & (c ^ d))
+        elif i < 32:
+            f = c ^ (d & (b ^ c))
+        elif i < 48:
+            f = b ^ c ^ d
+        else:
+            f = c ^ (b | ~d)
+        f += a
+        word = m[_MD5_WORD[i]]
+        if isinstance(word, int):
+            f += (word + _MD5_K[i]) & 0xFFFFFFFF
+        else:
+            f += word
+            f += _MD5_K[i]
+        s = _MD5_S[i]
+        a, d, c, b = d, c, b, b + (f << s | f >> (32 - s))
+    return a, b, c, d

@@ -3,14 +3,16 @@
 A table stores one chain per wordlist entry, a starting plaintext and a
 final 3-character reduction, as its file's body holds them: one string of
 `start<TAB>end` lines and uint32 field offsets, read through views that
-slice fields out. `generate_table` walks a wordlist's chains in numpy chunks
-(`hashing._walk_chains`). A table's packed end column, one uint32 per row
-holding the end's 3 bytes and a newline, is what the bucket index hashes.
-The classical baseline finds the rows ending in a text by one O(N)
-`str.find` over a string of one character per row. One row pattern checks a
-body, once per table: in `load_table`, which then gathers the fields and the
-end column by one numpy scan of the bytes, or, for a table built in memory,
-in `save_table` or the end column. The first line the pattern refuses goes
+slice fields out. Field offsets come from the fields' lengths wherever
+rows are joined. `generate_table` walks a wordlist's chains in numpy chunks
+(`hashing._walk_chains`) and makes each chunk's rows as bytes, the words'
+UTF-8 with the walk's end bytes, decoded once. A table's packed end column,
+one uint32 per row holding the end's 3 bytes and a newline, is what the
+bucket index hashes. The classical baseline finds the rows ending in a text
+by one O(N) `str.find` over a string of one character per row. One row
+pattern checks a body, once per table: in `load_table`, which then gathers
+the fields and the end column by a numpy scan of the bytes, a part at a
+time, or, for a table built in memory, in `save_table` or the end column. The first line the pattern refuses goes
 to the per-line row check, which makes the error. The bucket index
 Pearson-hashes all chain ends at once into 16-bit values whose high 12 bits
 select a bucket and whose low 4 bits are the residues searched at crack
@@ -42,8 +44,11 @@ from .prng import MASK64
 TABLE_VERSION = 1
 BUCKET_WIDTH = 16
 
-# A table is joined from lists, and saved, this many rows at a time.
+# A table is joined from lists, walked, and saved, this many rows at a time.
 _CHUNK = 8192
+
+# `load_table` scans a body for its field offsets this many bytes at a time.
+_SCAN = 1 << 16
 
 _HEADER_RE = re.compile(r"^QIRIS v(\d{1,20}) seed=(\d{1,20}) chain=R1,R2,R3,R4$")
 
@@ -82,8 +87,8 @@ class RainbowTable(Sequence):
     and ends one character before the next: row r's start is field 2r, its
     end field 2r + 1. `starts`, `ends` and the table, the sequence of its
     `Chain` rows (`chains`), slice fields on read. Tables are equal when their
-    rows and seeds are; one built from two lists joins them once and accepts
-    any strings. Frozen, its row check and end column, made once, stay true.
+    rows and seeds are; one built from two lists joins them once, placing the
+    fields by their lengths, and accepts any strings. Frozen, its row check and end column, made once, stay true.
     """
 
     body: str
@@ -94,21 +99,21 @@ class RainbowTable(Sequence):
         if len(starts) != len(ends):
             raise ValueError(f"{len(starts)} starts but {len(ends)} ends")
         chunks = range(0, len(starts), _CHUNK)
-        self._join(((starts[i:i + _CHUNK], ends[i:i + _CHUNK]) for i in chunks), perm_seed)
+        self._join((_listed_rows(starts[i:i + _CHUNK], ends[i:i + _CHUNK]) for i in chunks),
+                   perm_seed)
 
     def _join(self, parts, perm_seed: int) -> None:
-        """Set body and offsets from `parts`, (starts, ends) chunks, one by one to bound memory."""
+        """Set body and offsets from `parts`, chunks of rows taken one by one to
+        bound memory: each its rows' text, `start<TAB>end` lines, and the
+        lengths of their starts and of their ends, which place the fields."""
         texts, offsets = ["\n"], array("I", [1])
-        for heads, tails in parts:
-            rows = zip(heads, repeat("\t"), tails, repeat("\n"))
-            texts.append("".join(chain.from_iterable(rows)))
-            # one byte per character, "?" for any past latin-1, so positions hold
-            found = _field_offsets(texts[-1].encode("latin-1", "replace"))
-            if len(found) != 2 * len(heads):
-                # a field holds a tab or a newline: place the fields by their lengths
-                sizes = chain.from_iterable(zip(map(len, heads), map(len, tails)))
-                found = np.cumsum(np.fromiter(sizes, np.intp, 2 * len(heads)) + 1)
-            offsets.frombytes((found + offsets[-1]).astype(np.uintc).tobytes())
+        for text, start_lengths, end_lengths in parts:
+            sizes = np.empty((len(start_lengths), 2), np.intp)
+            sizes[:, 0] = start_lengths
+            sizes[:, 1] = end_lengths
+            sizes += 1  # the tab or newline after each field
+            texts.append(text)
+            offsets.frombytes((sizes.cumsum() + offsets[-1]).astype(np.uintc).tobytes())
         vars(self).update(body="".join(texts), offsets=offsets, perm_seed=perm_seed)
 
     def __len__(self):
@@ -191,22 +196,62 @@ class _Column(Sequence):
 
     def __init__(self, table: RainbowTable, field: int):
         self._body, self._offsets = table.body, table.offsets
-        self._fields = range(field, 2 * len(table), 2)
+        self._field, self._rows = field, len(table)
 
     def __len__(self):
-        return len(self._fields)
+        return self._rows
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[row] for row in range(len(self))[i]]
-        k = self._fields[i]
-        return self._body[self._offsets[k]:self._offsets[k + 1] - 1]
+            return [self[row] for row in range(self._rows)[i]]
+        if i < 0:
+            i += self._rows
+        if not 0 <= i < self._rows:
+            raise IndexError("column index out of range")
+        k = 2 * i + self._field
+        offsets = self._offsets
+        return self._body[offsets[k]:offsets[k + 1] - 1]
 
 
-def _field_offsets(data: bytes) -> np.ndarray:
-    """Where each field of a body's rows begins: one past each tab and newline."""
+def _listed_rows(starts, ends):
+    """One chunk of a table's rows, from lists, as `RainbowTable._join` takes it."""
+    rows = zip(starts, repeat("\t"), ends, repeat("\n"))
+    return "".join(chain.from_iterable(rows)), _lengths(starts), _lengths(ends)
+
+
+def _walked_rows(words, specs):
+    """One chunk of `generate_table`'s rows, as `RainbowTable._join` takes it.
+
+    The rows are made as UTF-8 bytes, each word's own then a tab, its end's
+    bytes as the walk gives them and a newline, and decoded once.
+    """
+    messages = [word.encode() for word in words]
+    lengths = _lengths(messages)
+    ends = _walk_chains(messages, lengths, specs)
+    width = ends.shape[1]
+    # each word, then a tab, `width` bytes that its end's bytes replace, a newline
+    rows = bytearray(b"\t%b\n" % bytes(width)).join([*messages, b""])
+    # row k's tab follows the words up to its own and k tails of width + 2
+    tabs = np.cumsum(lengths) + np.arange(0, len(words) * (width + 2), width + 2)
+    np.frombuffer(rows, np.uint8)[tabs[:, None] + np.arange(1, width + 1)] = ends
+    return rows.decode(), _lengths(words), width
+
+
+def _lengths(items) -> np.ndarray:
+    """The length of each of `items`, as an intp array."""
+    return np.fromiter(map(len, items), np.intp, len(items))
+
+
+def _field_offsets(data: bytes) -> array:
+    """Where each field of a body's rows begins, one past each tab and newline,
+    found 64 KiB at a time so the scan's arrays stay small."""
     chars = np.frombuffer(data, np.uint8)
-    return np.flatnonzero((chars == 9) | (chars == 10)) + 1
+    offsets = array("I")
+    for start in range(0, len(chars), _SCAN):
+        # a tab or a newline, 9 or 10, is the one byte that this leaves at most 1
+        found = np.flatnonzero(chars[start:start + _SCAN] - 9 <= 1)
+        offsets.frombytes((found + (start + 1)).astype(np.uintc).tobytes())
+    return offsets
 
 
 def _end_column(data: bytes, offsets: np.ndarray) -> np.ndarray:
@@ -281,7 +326,8 @@ def generate_table(wordlist, specs, perm: PearsonPermutation) -> RainbowTable:
     if not starts:
         raise ValueError("wordlist is empty")
     table = RainbowTable.__new__(RainbowTable)  # joined chunk by chunk as the walk goes
-    table._join(_walk_chains(starts, specs), perm.seed)
+    chunks = (starts[i:i + _CHUNK] for i in range(0, len(starts), _CHUNK))
+    table._join((_walked_rows(chunk, specs) for chunk in chunks), perm.seed)
     return table
 
 
@@ -442,8 +488,8 @@ def load_table(path) -> RainbowTable:
 
     The permutation seed comes from the header; build_buckets derives the end
     hashes from it. One search of the row pattern checks the body, kept whole;
-    one numpy scan of its bytes finds the field offsets and the end column.
-    Malformed headers, unsupported versions and malformed rows are refused
+    a numpy scan of its bytes, 64 KiB at a time, finds the field offsets, and
+    the end column is gathered from them. Malformed headers, unsupported versions and malformed rows are refused
     with the number of the offending line: for rows, the first line the
     pattern refuses, whose error _check_line makes.
     """
@@ -474,7 +520,8 @@ def load_table(path) -> RainbowTable:
         raise ValueError("table file is 4 GiB or more")
     data = body.encode("ascii")
     offsets = _field_offsets(data)
+    end_codes = _end_column(data, np.frombuffer(offsets, np.uintc))
     table = RainbowTable.__new__(RainbowTable)  # checked above, with its end column stored
-    vars(table).update(body=body, offsets=array("I", offsets.astype(np.uintc).tobytes()),
-                       perm_seed=seed, _checked=True, end_codes=_end_column(data, offsets))
+    vars(table).update(body=body, offsets=offsets, perm_seed=seed, _checked=True,
+                       end_codes=end_codes)
     return table

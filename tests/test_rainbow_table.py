@@ -11,7 +11,7 @@ from collections.abc import Sequence
 import pytest
 from conftest import fail_third_chunk_write, sorted_end_hashes
 
-from qiris import hashing, rainbow_table
+from qiris import rainbow_table
 from qiris.hashing import BASE62_ALPHABET, build_permutation, md5_hex, pearson16, walk_chain
 from qiris.rainbow_table import (
     BUCKET_WIDTH,
@@ -41,17 +41,50 @@ def test_generate_single_word(perm44, specs):
     assert build_buckets(table).buckets == {454 // BUCKET_WIDTH: [454 % BUCKET_WIDTH]}
 
 
+# Words at the MD5 block edges of their UTF-8 bytes: 0, 55, 56, 119 and 120
+# bytes; multi-byte words whose characters fall on the other side of an edge
+# than their bytes; and words holding tabs, newlines and NULs, trailing too.
+ODD_WORDS = [
+    "", "a" * 55, "b" * 56, "c" * 119, "d" * 120,
+    "é" * 28, "x" + "é" * 27, "€" * 19, "é" * 60, "y" + "é" * 59, "\U0001f600" * 14,
+    "a\tb", "tab\t", "\n", "line\n", "nul\x00", "\x00", "\x00" * 56, "\x00mid\x00dle\x00",
+]
+
+
 def test_generate_walks_each_row_alone_across_chunk_edges(perm44, specs):
-    # generate_table walks its rows in chunks; no end may depend on where a
-    # chunk starts or on the rows beside it
-    chunk = hashing._WALK_CHUNK
+    # generate_table walks its rows in chunks, one MD5 block count at a time;
+    # no end may depend on where a chunk starts or on the rows beside it
+    chunk = rainbow_table._CHUNK
     rng = random.Random(17)
     words = [format(rng.getrandbits(rng.randint(4, 60)), "x") for _ in range(2 * chunk + 1)]
+    for at in (5, chunk - len(ODD_WORDS) // 2, 2 * chunk - len(ODD_WORDS)):
+        words[at:at + len(ODD_WORDS)] = ODD_WORDS
+    ends = [walk_chain(hashlib.md5(w.encode()).digest(), specs) for w in words]
     table = generate_table(words, specs, perm44)
-    assert list(table.ends) == [walk_chain(hashlib.md5(w.encode()).digest(), specs) for w in words]
+    assert table == RainbowTable(words, ends, 44)
+    assert list(table.starts) == words and list(table.ends) == ends
     for k in (chunk - 1, chunk, chunk + 1):
-        head = RainbowTable(words[:k], table.ends[:k], 44)
+        head = RainbowTable(words[:k], ends[:k], 44)
         assert generate_table(words[:k], specs, perm44) == head
+    # a word that has no UTF-8 encoding is refused, as encoding it refuses it
+    with pytest.raises(UnicodeEncodeError):
+        generate_table(["ok", "lone\ud800"], specs, perm44)
+
+
+def test_generate_memory(perm44, specs):
+    # the rows are joined chunk by chunk, and each chunk's words are padded to
+    # their own MD5 block count, not to the chunk's longest word
+    rng = random.Random(3)
+    words = [format(rng.getrandbits(48), "x") for _ in range(100_000)]
+    for size, limit in ((100_000, 5.2 * 2**20), (rainbow_table._CHUNK, 4 * 2**20)):
+        sample = words[:size - 1] + ["w" * 4096]
+        tracemalloc.start()
+        try:
+            table = generate_table(sample, specs, perm44)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == size and peak < limit
 
 
 def test_generate_preserves_order(table100, buckets100, words100, perm44):
@@ -306,17 +339,19 @@ def test_row_rule_is_searched_once_per_table(monkeypatch, tmp_path):
 
 
 def test_loaded_table_memory(tmp_path):
-    # the loaded rows are one string and one offset array, not a string per row
+    # the loaded rows are one string and one offset array, not a string per
+    # row, and the offsets are found a part of the body at a time: the file's
+    # text, the body and its bytes (1.1 MB each) and what is held set the peak
     rows = 100_000
     path = tmp_path / "table.txt"
     save_table(RainbowTable(_words(rows), ["abc"] * rows, 44), path)
     tracemalloc.start()
     try:
         table = load_table(path)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(table) == rows and held < 4 * 2**20
+    assert len(table) == rows and held < 4 * 2**20 and peak < 5 * 2**20
 
 
 def test_rows_ending_scans_the_end_column():
