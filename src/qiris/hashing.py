@@ -6,11 +6,12 @@ space, and the chain walk that alternates the two. `walk_chain` walks one
 chain with hashlib, for crack and verify. `generate_table` walks a whole
 wordlist with `_walk_chains`, the same walk in numpy over chunks of rows.
 One RFC 1321 block step in numpy, `_md5_block`, takes the padded message
-words of all rows at once: first of the words' UTF-8 bytes, block j of every
-word that has one, each padded with its own length; then of the fixed-length
-base62 texts after them. `build_permutation`'s Fisher-Yates shuffle is
-computed in numpy too, identical to the swap loop, and its table is held
-once, as a read-only uint16 buffer that `pearson16` and numpy both read.
+words of all rows at once: first of the words' UTF-8 bytes, each word that
+one block holds padded with its own length, a longer word hashed by hashlib;
+then of the fixed-length base62 texts after them. `build_permutation`'s
+Fisher-Yates shuffle is computed in numpy too, identical to the swap loop,
+and its table is held once, as a read-only uint16 buffer that `pearson16`
+and numpy both read.
 """
 
 import hashlib
@@ -46,6 +47,10 @@ _BASE62_BYTES = np.frombuffer(BASE62_ALPHABET.encode(), np.uint8)
 # A prefix (below 2**32) plus a nonce's low part (below 62**10) is below
 # 2 * 62**10 < 2**64, so its low 10 digits come from uint64 arithmetic.
 _LOW_DIGITS = 10
+
+# The longest message that one MD5 block holds with its padding: a 0x80
+# byte and the 8-byte bit length.
+_BLOCK_BYTES = 55
 
 # RFC 1321's MD5 round constants T[i] and per-step shifts, its initial state,
 # and which message word step i reads.
@@ -220,8 +225,9 @@ def _walk_chains(messages: list, lengths: np.ndarray, specs) -> np.ndarray:
     `lengths`, through `specs`: the ends as an (n, length) uint8 array whose
     row k holds the base62 bytes of message k's end.
 
-    The messages' own MD5s go block by block over all rows. Every later text
-    is `length` base62 bytes, so numpy reduces and hashes all rows at once.
+    The messages' own MD5s take one block step over all rows, and hashlib
+    for a message longer than a block. Every later text is `length` base62
+    bytes, so numpy reduces and hashes all rows at once.
     """
     if not specs:
         raise ValueError("a chain walk needs at least one reduction")
@@ -254,29 +260,20 @@ def _base62_digits(prefixes: np.ndarray, spec: ReductionSpec) -> np.ndarray:
 def _message_prefixes(messages: list, lengths: np.ndarray) -> np.ndarray:
     """The reduction prefix of the MD5 of each of `messages` as uint64.
 
-    Messages of any lengths go through RFC 1321 block by block: block j of
-    every message that has one at once, each padded with its own length. So
-    memory is 64 bytes a row, and the steps run grow with the longest message,
-    not with how many lengths there are.
+    The messages that one padded block holds, at most `_BLOCK_BYTES` long, go
+    through one RFC 1321 block step at once, each padded with its own length.
+    A longer one is hashed by hashlib, so a chunk costs one block step in
+    numpy whatever its longest message, and memory stays 64 bytes a row.
     """
-    blocks = (lengths + 8) // 64 + 1
-    state = [np.full(len(messages), s, np.uint32) for s in _MD5_INIT]
-    rows = np.arange(len(messages))
-    for j in range(int(blocks.max())):
-        rows = rows[blocks[rows] > j]
-        # np.array keeps each message's first 64 bytes, NULs included, zero-filled
-        part = [messages[i][64 * j:64 * j + 64] for i in rows.tolist()] if j else messages
-        block = np.array(part, "S64").view(np.uint8).reshape(len(rows), 64)
-        tail = lengths[rows] - 64 * j
-        ending = np.flatnonzero((tail >= 0) & (tail < 64))
-        block[ending, tail[ending]] = 0x80
-        last = blocks[rows] == j + 1
-        block.view("<u8")[last, 7] = 8 * lengths[rows[last]]
-        every = slice(None) if j == 0 else rows  # a slice is a view, and costs no gather
-        before = [x[every] for x in state]
-        for x, y, z in zip(state, before, _md5_block(before, block.view("<u4").T)):
-            x[every] = y + z
-    return state[0].byteswap().astype(np.uint64)
+    # np.array keeps each message's first 64 bytes, NULs included, zero-filled
+    block = np.array(messages, "S64").view(np.uint8).reshape(len(messages), 64)
+    short = np.flatnonzero(lengths <= _BLOCK_BYTES)
+    block[short, lengths[short]] = 0x80
+    block.view("<u8")[:, 7] = 8 * lengths
+    prefixes = _md5_prefixes(list(block.view("<u4").T))
+    long = np.flatnonzero(lengths > _BLOCK_BYTES)  # their rows above are cut short
+    prefixes[long] = [_prefix(hashlib.md5(messages[i]).digest())[0] for i in long.tolist()]
+    return prefixes
 
 
 def _text_words(text: np.ndarray) -> list:

@@ -9,11 +9,13 @@ rows are joined. `generate_table` walks a wordlist's chains in numpy chunks
 UTF-8 with the walk's end bytes, decoded once. A table's packed end column,
 one uint32 per row holding the end's 3 bytes and a newline, is what the
 bucket index hashes. The classical baseline finds the rows ending in a text
-by one O(N) `str.find` over a string of one character per row. One row
-pattern checks a body, once per table: in `load_table`, which then gathers
-the fields and the end column by a numpy scan of the bytes, a part at a
-time, or, for a table built in memory, in `save_table` or the end column. The first line the pattern refuses goes
-to the per-line row check, which makes the error. The bucket index
+by one O(N) `str.find` over a string of one character per row. One numpy
+check of a body's bytes, `_CHUNK` rows at a time, holds it to the row rule,
+once per table: in `load_table`, from the field offsets that its scan of
+the bytes finds, or, for a table built in memory, in `save_table` or the
+end column, from the offsets the table holds. On a fault, the per-line row
+check makes the error for the line the fault lies in, or the per-row check
+for a table's first bad row. The bucket index
 Pearson-hashes all chain ends at once into 16-bit values whose high 12 bits
 select a bucket and whose low 4 bits are the residues searched at crack
 time. It keeps one 16-bit mask per bucket, bit r of bucket k's mask set when
@@ -34,7 +36,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .hashing import (
-    PERMUTATION_SIZE,
+    BASE62_ALPHABET,
     PearsonPermutation,
     _walk_chains,
     build_permutation,
@@ -52,16 +54,19 @@ _SCAN = 1 << 16
 
 _HEADER_RE = re.compile(r"^QIRIS v(\d{1,20}) seed=(\d{1,20}) chain=R1,R2,R3,R4$")
 
-# The characters a start may hold: ASCII but not whitespace as str.split sees it.
-_START_CHARS = r"\x00-\x08\x0e-\x1b\x21-\x7f"
+# The bytes a body's rows may hold: a tab, a newline, or a start's bytes,
+# ASCII but not whitespace as str.split sees it.
+_ROW_BYTES = bytes([9, 10, *range(0x00, 0x09), *range(0x0E, 0x1C), *range(0x21, 0x80)])
 
-# A newline that no row follows, where a row is the row rule as a pattern:
-# start characters, one tab and a 3-base62 end, then a newline. Searched for
-# from a newline, it is found just before the first bad line after it, or
-# else at the text's last newline. A repeated group, `(?:row)*`, would do the
-# same in one match but keeps about 190 bytes of matcher state per row it
-# passes.
-_NO_ROW_AFTER_RE = re.compile(rf"\n(?![{_START_CHARS}]+\t[0-9A-Za-z]{{3}}\n)")
+# Each byte's class in an end code, an end's 3 bytes and the newline after
+# it: 1 for a base62 byte, 2 for a newline, else 0. An end code keeps the
+# row rule when its classes, read as a little-endian uint32, are _END_CODE.
+_END_CLASS = bytes(2 if b == 10 else int(chr(b) in BASE62_ALPHABET) for b in range(256))
+_END_CODE = 0x02010101
+
+# The separators of a part of `_CHUNK` rows: a newline before each start
+# and at the part's end, a tab before each end.
+_SEPARATORS = np.resize(np.array([10, 9], np.uint8), 2 * _CHUNK + 1)
 
 # A base62 byte is one of the 75 values from ord("0") to ord("z"), so an
 # end's bytes read in radix 75 give each end its own code point. The points
@@ -88,7 +93,8 @@ class RainbowTable(Sequence):
     end field 2r + 1. `starts`, `ends` and the table, the sequence of its
     `Chain` rows (`chains`), slice fields on read. Tables are equal when their
     rows and seeds are; one built from two lists joins them once, placing the
-    fields by their lengths, and accepts any strings. Frozen, its row check and end column, made once, stay true.
+    fields by their lengths, and accepts any strings. Frozen, its row check
+    and end column, made once, stay true.
     """
 
     body: str
@@ -141,21 +147,32 @@ class RainbowTable(Sequence):
 
     @cached_property
     def _checked(self) -> bool:
-        """True when the row pattern accepts `body` with one line per row (a
-        field holding a newline makes lines the pattern may accept); else the
-        first row that breaks the rule is named as `table.chains[i]`."""
-        if _refused_line(self.body) is None and self.body.count("\n") == len(self) + 1:
-            return True
+        """True when every row keeps the row rule, checked by `_row_fault` a part
+        of `_CHUNK` rows at a time. A part's only tabs and newlines must be the
+        separators its offsets place, which a field holding one adds to, and a
+        non-ASCII part fails its encode. On any fault the first row that breaks
+        the rule is named as `table.chains[i]`."""
+        body = self.body
+        try:
+            for lo, hi, fields in _row_parts(np.frombuffer(self.offsets, np.uintc)):
+                data = body[lo:hi].encode("ascii")
+                separators = np.count_nonzero(np.frombuffer(data, np.uint8) - 9 <= 1)  # \t, \n
+                if separators != len(fields) or _row_fault(data, fields) >= 0:
+                    break
+            else:
+                return True
+        except UnicodeEncodeError:
+            pass
         for pos, row in enumerate(self):
             _check_row(row.start, row.end, f"table.chains[{pos}]")
-        raise AssertionError("table.chains: row pattern and rule disagree")
+        raise AssertionError("table.chains: row check and rule disagree")
 
     @cached_property
     def end_codes(self) -> np.ndarray:
         """The packed end column: each row's 3 end bytes and a newline as a read-only
         little-endian uint32, once the rows keep the row rule (`_checked`)."""
         self._checked  # noqa: B018  (raises at the first row that breaks the rule)
-        return _end_column(self.body.encode("ascii"), np.frombuffer(self.offsets, np.uintc))
+        return _end_column(self.body.encode("ascii"), np.frombuffer(self.offsets, np.uintc)[1::2])
 
     @cached_property
     def end_chars(self) -> str:
@@ -254,9 +271,53 @@ def _field_offsets(data: bytes) -> array:
     return offsets
 
 
-def _end_column(data: bytes, offsets: np.ndarray) -> np.ndarray:
-    """The read-only end column of a checked body: each end's 4 bytes, its 3 and a newline."""
-    codes = np.ndarray((max(len(data) - 3, 0),), "<u4", data, strides=(1,))[offsets[1::2]]
+def _row_parts(offsets: np.ndarray):
+    """A body's rows as the row check takes them, `_CHUNK` rows at a time:
+    each part as `(lo, hi, fields)`, the body's `lo:hi` from the newline
+    before its first row to the end of its last, and its fields' offsets
+    into that text. `offsets` are the body's, their last at its end."""
+    for i in range(0, len(offsets) - 1, 2 * _CHUNK):
+        fields = offsets[i:i + 2 * _CHUNK + 1]
+        lo = int(fields[0]) - 1
+        yield lo, int(fields[-1]), np.subtract(fields, lo, dtype=np.intp)
+
+
+def _row_fault(data: bytes, fields: np.ndarray) -> int:
+    """Where the rows in `data` first break the row rule, or -1 if none does.
+
+    `data` is a part of a body (see `_row_parts`): a newline, then rows
+    whose field k begins at `fields[k]`, ending at its last separator. The
+    fault is the earliest of: a byte that no row holds; a separator before
+    field k that is not a newline for even k, a tab for odd k; an empty
+    start, an end not 3 bytes long, or an end byte not base62. The earliest
+    lies in the first line that the per-line row check refuses.
+    """
+    # the bytes that no row holds, in order: the first is the first of its value
+    odd = data.translate(None, _ROW_BYTES)
+    fault = data.find(odd[:1]) if odd else len(data)
+    wrong = np.flatnonzero(np.frombuffer(data, np.uint8)[fields - 1] != _SEPARATORS[:len(fields)])
+    if len(wrong):
+        fault = min(fault, int(fields[wrong[0]]) - 1)
+    sizes = np.diff(fields)  # each field's length and the separator after it
+    bad = sizes != 4
+    bad[::2] = sizes[::2] < 2
+    bad = np.flatnonzero(bad)
+    if len(bad):
+        fault = min(fault, int(fields[bad[0]]))
+    # the ends before the fault have their 3 bytes and a separator
+    ends = fields[1::2]
+    ends = ends[:np.searchsorted(ends, fault)]
+    classes = _end_column(data, ends).tobytes().translate(_END_CLASS)
+    bad = np.flatnonzero(np.frombuffer(classes, "<u4") != _END_CODE)
+    if len(bad):
+        fault = int(ends[bad[0]])
+    return fault if fault < len(data) else -1
+
+
+def _end_column(data: bytes, ends: np.ndarray) -> np.ndarray:
+    """The read-only 4 bytes of `data` at each of `ends`, the offsets of ends
+    that keep the row rule: each end's 3 bytes and the separator after it."""
+    codes = np.ndarray((max(len(data) - 3, 0),), "<u4", data, strides=(1,))[ends]
     codes.flags.writeable = False
     return codes
 
@@ -378,15 +439,6 @@ def _check_line(line: str, lineno: int) -> None:
     _check_row(*parts, f"line {lineno}")
 
 
-def _refused_line(text: str, pos: int = 0):
-    """The first line after the newline at or after `pos` that the row pattern
-    refuses, as `(line, lineno)` with `text`'s first line as 1, or None."""
-    bad = _NO_ROW_AFTER_RE.search(text, pos).end()
-    if bad == len(text):
-        return None
-    return text[bad:text.index("\n", bad)], text.count("\n", 0, bad) + 1
-
-
 def _read_text(path, label: str) -> str:
     """A text file's contents, refusing CRLF line endings by the first such line.
 
@@ -417,7 +469,8 @@ def build_buckets(table: RainbowTable) -> BucketIndex:
 
     The ends are hashed with the permutation for the table's seed, three
     gathers over all rows at once through its uint16 table widened to intp
-    (a hash plus an end byte would wrap in uint16), bit-identical to pearson16.
+    (a hash plus an end byte would wrap in uint16) and by its first 128
+    entries, so no step takes a modulo, bit-identical to pearson16.
     Each end hash h sets bit h % 16 of the mask under bucket key h // 16.
     The rows and their ends, ordered by end hash, cost 8 bytes per row;
     the bucket offsets cost 16 KB and the masks 8 KB. The permutation
@@ -425,11 +478,15 @@ def build_buckets(table: RainbowTable) -> BucketIndex:
     one seed share one permutation object and one build.
     """
     perm = _permutation(table.perm_seed)
-    lookup = np.frombuffer(perm.table, np.uint16).astype(np.intp)
+    permutation = np.frombuffer(perm.table, np.uint16)
+    # a hash (at most 65534) plus an ASCII byte is below 65535 + 128, where
+    # the wrap that pearson16 takes modulo 65535 is the table's first 128
+    lookup = np.concatenate([permutation, permutation[:128]]).astype(np.intp)
     codes = table.end_codes
-    h = np.full(len(codes), 3, np.intp)  # pearson16 starts at len(text)
-    for column in codes.view(np.uint8).reshape(-1, 4)[:, :3].T:
-        h = lookup[(h + column) % PERMUTATION_SIZE]
+    first, second, third = codes.view(np.uint8).reshape(-1, 4)[:, :3].T
+    h = lookup[first + 3]  # pearson16 starts at len(text), 3
+    h = lookup[h + second]
+    h = lookup[h + third]
     hashes = h.astype(np.uint16)  # sorts an order of magnitude faster than intp
     order = np.argsort(hashes, kind="stable")
     seen = np.zeros(1 << 16, bool)
@@ -451,7 +508,7 @@ def save_table(table: RainbowTable, path) -> None:
     """Write the table as ASCII text: a header line, then `start<TAB>end` rows.
 
     Refuses what load_table would: no chains, a seed outside 0..2^64-1, or a
-    row that breaks _check_row, found by the table's one row-pattern search.
+    row that breaks _check_row, found by the table's one row check.
     The body goes in chunks of rows to a temporary file beside the regular
     file, or no file, that `path` names, which it replaces once whole. So a
     save that returns is one load_table reads back as an equal table, and
@@ -487,11 +544,12 @@ def load_table(path) -> RainbowTable:
     """Read a table file written by save_table.
 
     The permutation seed comes from the header; build_buckets derives the end
-    hashes from it. One search of the row pattern checks the body, kept whole;
-    a numpy scan of its bytes, 64 KiB at a time, finds the field offsets, and
-    the end column is gathered from them. Malformed headers, unsupported versions and malformed rows are refused
-    with the number of the offending line: for rows, the first line the
-    pattern refuses, whose error _check_line makes.
+    hashes from it. The body is kept whole. A numpy scan of its bytes, 64 KiB
+    at a time, finds the field offsets; `_row_fault` checks the rows against
+    them, `_CHUNK` rows at a time, and the end column is gathered from them.
+    Malformed headers, unsupported versions and malformed rows are refused
+    with the number of the offending line: for rows, the line the first
+    fault lies in, whose error _check_line makes.
     """
     text = _read_text(path, "line")
     if not text.endswith("\n"):
@@ -509,18 +567,22 @@ def load_table(path) -> RainbowTable:
     if seed > MASK64:
         raise ValueError(f"line 1: permutation seed {seed} does not fit in 64 bits")
 
-    refused = _refused_line(text, len(header))
-    if refused:
-        _check_line(*refused)
-        raise AssertionError(f"line {refused[1]}: row pattern and rule disagree")
     body = text[len(header):]
-    if body == "\n":
-        raise ValueError("table has no chains")
     if len(body) > 0xFFFFFFFF:
         raise ValueError("table file is 4 GiB or more")
-    data = body.encode("ascii")
+    data = body.encode("latin-1")
     offsets = _field_offsets(data)
-    end_codes = _end_column(data, np.frombuffer(offsets, np.uintc))
+    fields = np.frombuffer(offsets, np.uintc)
+    for lo, hi, part in _row_parts(fields):
+        fault = _row_fault(data[lo:hi], part)
+        if fault >= 0:
+            fault += lo
+            lineno = body.count("\n", 0, fault) + 1
+            _check_line(body[body.rfind("\n", 0, fault) + 1:body.index("\n", fault)], lineno)
+            raise AssertionError(f"line {lineno}: row check and rule disagree")
+    if body == "\n":
+        raise ValueError("table has no chains")
+    end_codes = _end_column(data, fields[1::2])
     table = RainbowTable.__new__(RainbowTable)  # checked above, with its end column stored
     vars(table).update(body=body, offsets=offsets, perm_seed=seed, _checked=True,
                        end_codes=end_codes)

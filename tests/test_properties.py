@@ -161,6 +161,57 @@ def test_save_table_succeeds_exactly_when_load_returns_the_table(table):
         assert load_table(path) == table
 
 
+# Starts and ends of tables built in memory: rows that keep the row rule,
+# and fields holding tabs, newlines or non-ASCII, empty ones, and ends of 2
+# and 4 characters.
+MEMORY_STARTS = st.one_of(
+    ASCII_WORDS,
+    st.sampled_from(
+        ["", " ", "\t", "\n", "é", "€", "a b", "a\tb", "a\nb", "\x00", "\x7f", "\x1c", "\r"]
+    ),
+    LATIN1_TEXT,
+    st.text(max_size=4),
+)
+MEMORY_ENDS = st.one_of(
+    BASE62_ENDS,
+    st.text(BASE62_ALPHABET, min_size=2, max_size=4),
+    st.sampled_from(["", "ab\t", "a\nb", "\tab", "ab\n", "é12", "a b", "ab", "abcd"]),
+    LATIN1_TEXT,
+)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.tuples(MEMORY_STARTS, MEMORY_ENDS), min_size=1, max_size=6),
+    st.sampled_from([0, rainbow_table._CHUNK - 3]),
+)
+def test_save_table_names_the_first_bad_row_of_a_table_built_in_memory(rows, filler):
+    # the drawn rows follow `filler` good ones, so they can straddle the
+    # edge of the row check's first part
+    starts = [f"w{i}" for i in range(filler)] + [start for start, _ in rows]
+    ends = ["abc"] * filler + [end for _, end in rows]
+    expected = None
+    for i, (start, end) in enumerate(rows, start=filler):
+        try:
+            rainbow_table._check_row(start, end, f"table.chains[{i}]")
+        except ValueError as exc:
+            expected = str(exc)
+            break
+    table = RainbowTable(starts, ends, 44)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.txt")
+        try:
+            save_table(table, path)
+        except ValueError as exc:
+            assert str(exc) == expected
+            # the end column shares the check, and refuses the same row
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                build_buckets(table)
+            return
+        assert expected is None
+        assert load_table(path) == table
+
+
 def _mutate(data, edits):
     data = bytearray(data)
     for pos, byte in edits:
@@ -316,14 +367,22 @@ TABLE_LINES = st.one_of(
 
 
 @given(TABLE_LINES)
-def test_row_pattern_accepts_exactly_the_lines_the_row_rule_accepts(line):
+def test_row_check_accepts_exactly_the_lines_the_row_rule_accepts(line):
     try:
         rainbow_table._check_line(line, 2)
     except ValueError:
         is_row = False
     else:
         is_row = True
-    assert (rainbow_table._NO_ROW_AFTER_RE.match("\n" + line + "\n") is None) == is_row
+    # the line as load_table checks it: after a newline, its fields where
+    # the offset scan finds them
+    data = ("\n" + line + "\n").encode("latin-1")
+    fields = np.frombuffer(rainbow_table._field_offsets(data), np.uintc)
+    (lo, hi, part), = rainbow_table._row_parts(fields)
+    fault = rainbow_table._row_fault(data[lo:hi], part)
+    assert (fault < 0) == is_row
+    # a fault lies in the line or at the newline that ends it
+    assert is_row or 1 <= fault <= len(line) + 1
 
 
 def _lines_file(lines):

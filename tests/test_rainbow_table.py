@@ -11,7 +11,7 @@ from collections.abc import Sequence
 import pytest
 from conftest import fail_third_chunk_write, sorted_end_hashes
 
-from qiris import rainbow_table
+from qiris import hashing, rainbow_table
 from qiris.hashing import BASE62_ALPHABET, build_permutation, md5_hex, pearson16, walk_chain
 from qiris.rainbow_table import (
     BUCKET_WIDTH,
@@ -52,8 +52,9 @@ ODD_WORDS = [
 
 
 def test_generate_walks_each_row_alone_across_chunk_edges(perm44, specs):
-    # generate_table walks its rows in chunks, one MD5 block count at a time;
-    # no end may depend on where a chunk starts or on the rows beside it
+    # generate_table walks its rows in chunks, a word longer than one MD5
+    # block by hashlib; no end may depend on where a chunk starts or on the
+    # rows beside it
     chunk = rainbow_table._CHUNK
     rng = random.Random(17)
     words = [format(rng.getrandbits(rng.randint(4, 60)), "x") for _ in range(2 * chunk + 1)]
@@ -85,6 +86,27 @@ def test_generate_memory(perm44, specs):
         finally:
             tracemalloc.stop()
         assert len(table) == size and peak < limit
+
+
+def test_generate_hashes_a_long_word_with_hashlib(perm44, specs, monkeypatch):
+    # a word longer than one MD5 block takes its MD5 from hashlib, so a chunk
+    # runs one numpy block step for its words, and those of the inner
+    # reductions' texts, whatever its longest word
+    calls = []
+
+    def counting(state, m, steps=64):
+        calls.append(steps)
+        return md5_block(state, m, steps)
+
+    md5_block = hashing._md5_block
+    monkeypatch.setattr(hashing, "_md5_block", counting)
+    rng = random.Random(5)
+    words = [format(rng.getrandbits(48), "x") for _ in range(rainbow_table._CHUNK)]
+    words[100] = "w" * 65536
+    table = generate_table(words, specs, perm44)
+    assert list(table.ends) == [walk_chain(hashlib.md5(w.encode()).digest(), specs) for w in words]
+    text_blocks = sum((spec.length + 8) // 64 + 1 for spec in specs[:-1])
+    assert len(calls) <= 1 + text_blocks
 
 
 def test_generate_preserves_order(table100, buckets100, words100, perm44):
@@ -145,6 +167,32 @@ def test_buckets_single_value(end_for_hash):
 def test_buckets_boundaries(end_for_hash):
     index = build_buckets(_table(end_for_hash, [16, 15, 0, 65534]))
     assert index.buckets == {0: [0, 15], 1: [0], 4095: [14]}
+
+
+def test_bucket_hashes_take_the_wrap_past_the_permutation_end(perm44, end_for_hash):
+    # build_buckets gathers from the permutation widened by its first 128
+    # entries where pearson16 takes its hash plus a byte modulo 65535; each
+    # 2-character prefix whose running hash is near 65534 is followed here by
+    # every third character, most of which take that wrap
+    permutation = perm44.table
+    ends, wraps = [], 0
+    for a in BASE62_ALPHABET:
+        for b in BASE62_ALPHABET:
+            h = permutation[(permutation[3 + ord(a)] + ord(b)) % 65535]
+            if h + ord("z") >= 65535:
+                ends += [a + b + c for c in BASE62_ALPHABET]
+                wraps += sum(h + ord(c) >= 65535 for c in BASE62_ALPHABET)
+    assert wraps
+    ends += [end_for_hash[h] for h in range(65504, 65535) if h in end_for_hash]
+    index = build_buckets(RainbowTable([f"w{i}" for i in range(len(ends))], ends, 44))
+    hashes = [pearson16(end, perm44) for end in ends]
+    masks = [0] * 4096
+    for h in hashes:
+        masks[h // BUCKET_WIDTH] |= 1 << h % BUCKET_WIDTH
+    assert list(index.masks) == masks
+    assert [hashes[row] for row in index.rows] == sorted(hashes)
+    for row, (end, h) in enumerate(zip(ends, hashes)):
+        assert row in index.rows_for(h, end)
 
 
 def test_buckets_keep_duplicates(end_for_hash):
@@ -307,25 +355,32 @@ def test_tables_are_equal_when_their_rows_and_seeds_are(table100, tmp_path):
 
 
 def test_row_rule_is_searched_once_per_table(monkeypatch, tmp_path):
-    # save_table and the end column share one search of a table built in
-    # memory; a loaded table was searched by load_table, which stored its
-    # end column
-    searched = []
+    # save_table and the end column share one check of a table built in
+    # memory, a part of rows at a time; a loaded table was checked by
+    # load_table, which stored its end column
+    searched, parts = [], []
 
-    def searching(text, pos=0):
-        searched.append(pos)
-        return refused_line(text, pos)
+    def searching(offsets):
+        searched.append(len(offsets) // 2)
+        return row_parts(offsets)
 
-    refused_line = rainbow_table._refused_line
-    monkeypatch.setattr(rainbow_table, "_refused_line", searching)
+    def checking(data, fields):
+        parts.append(len(fields) // 2)
+        return row_fault(data, fields)
+
+    row_parts, row_fault = rainbow_table._row_parts, rainbow_table._row_fault
+    monkeypatch.setattr(rainbow_table, "_row_parts", searching)
+    monkeypatch.setattr(rainbow_table, "_row_fault", checking)
     table = RainbowTable(_words(20_000), ["abc"] * 20_000, 44)
     path = tmp_path / "table.txt"
     save_table(table, path)
     build_buckets(table)
     save_table(table, path)
     assert len(searched) == 1
+    assert parts == [rainbow_table._CHUNK, rainbow_table._CHUNK, 20_000 - 2 * rainbow_table._CHUNK]
     loaded = load_table(path)
     assert len(searched) == 2 and "end_codes" in vars(loaded)
+    assert searched == [20_000, 20_000] and len(parts) == 6
     assert build_buckets(loaded) == build_buckets(table)
     save_table(loaded, path)
     assert len(searched) == 2
