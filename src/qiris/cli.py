@@ -16,7 +16,7 @@ from .rainbow_table import (
     _check_plaintext,
     _clip,
     _permutation,
-    _read_text,
+    _read_bytes,
     build_buckets,
     generate_table,
     load_table,
@@ -37,8 +37,9 @@ _REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(SearchReport) if f.nam
 
 
 def _read_wordlist(path):
+    text = _read_bytes(path, "wordlist line").decode("latin-1")
     words = []
-    for lineno, line in enumerate(_read_text(path, "wordlist line").split("\n"), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if line:
             _check_plaintext(line, f"wordlist line {lineno}")
             words.append(line)
@@ -46,8 +47,9 @@ def _read_wordlist(path):
 
 
 def _read_hashes(path):
+    text = _read_bytes(path, "hashes line").decode("latin-1")
     digests = []
-    for lineno, line in enumerate(_read_text(path, "hashes line").split("\n"), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if line == "":
             continue
         try:

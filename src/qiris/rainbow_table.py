@@ -1,32 +1,33 @@
 """Rainbow table construction, persistence, and the bucket index.
 
 A table stores one chain per wordlist entry, a starting plaintext and a
-final 3-character reduction, as its file's body holds them: one string of
+final 3-character reduction, as its file's body holds them: the bytes of
 `start<TAB>end` lines and uint32 field offsets, read through views that
-slice fields out. Field offsets come from the fields' lengths wherever
-rows are joined. `generate_table` walks a wordlist's chains in numpy chunks
-(`hashing._walk_chains`) and makes each chunk's rows as bytes, the words'
-UTF-8 with the walk's end bytes, decoded once. A table's packed end column,
-one uint32 per row holding the end's 3 bytes and a newline, is what the
-bucket index hashes. The classical baseline finds the rows ending in a text
-by one O(N) `str.find` over a string of one character per row. One numpy
-check of a body's bytes, `_CHUNK` rows at a time, holds it to the row rule,
-once per table: in `load_table`, from the field offsets that its scan of
-the bytes finds, or, for a table built in memory, in `save_table` or the
-end column, from the offsets the table holds. On a fault, the per-line row
-check makes the error for the line the fault lies in, or the per-row check
-for a table's first bad row. The bucket index
-Pearson-hashes all chain ends at once into 16-bit values whose high 12 bits
-select a bucket and whose low 4 bits are the residues searched at crack
-time. It keeps one 16-bit mask per bucket, bit r of bucket k's mask set when
-some end hashes to 16k + r, and the rows grouped by bucket with their ends
-beside them, so the rows ending in a given text are found by one search of
-that text's bucket.
+slice fields out and decode them. Field offsets come from the fields' byte
+lengths wherever rows are joined. `generate_table` walks a wordlist's
+chains in numpy chunks (`hashing._walk_chains`) and makes each chunk's rows
+as bytes, the words' UTF-8 with the walk's end bytes. A table's packed end
+column, one uint32 per row holding the end's 3 bytes and a newline, is what
+the bucket index hashes. The classical baseline finds the rows ending in a
+text by one O(N) `str.find` over a string of one character per row. One
+numpy check of a body's bytes, `_CHUNK` rows at a time, holds it to the row
+rule, once per table: in `load_table`, from the field offsets that its scan
+of the file's bytes finds, gathering the end column as it goes, or, for a
+table built in memory, in `save_table` or the end column, from the offsets
+the table holds. On a fault, the per-line row check makes the error for the
+line the fault lies in, or the per-row check for a table's first bad row.
+The bucket index Pearson-hashes all chain ends at once into 16-bit values
+whose high 12 bits select a bucket and whose low 4 bits are the residues
+searched at crack time. It keeps one 16-bit mask per bucket, bit r of bucket
+k's mask set when some end hashes to 16k + r, and the rows grouped by bucket
+with their ends beside them, so the rows ending in a given text are found by
+one search of that text's bucket.
 """
 
 import errno
 import os
 import re
+import stat
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -54,19 +55,20 @@ _SCAN = 1 << 16
 
 _HEADER_RE = re.compile(r"^QIRIS v(\d{1,20}) seed=(\d{1,20}) chain=R1,R2,R3,R4$")
 
-# The bytes a body's rows may hold: a tab, a newline, or a start's bytes,
-# ASCII but not whitespace as str.split sees it.
-_ROW_BYTES = bytes([9, 10, *range(0x00, 0x09), *range(0x0E, 0x1C), *range(0x21, 0x80)])
+# The largest table file whose body, 4 GiB - 1 bytes from the header's newline
+# on, fits the uint32 field offsets after the longest header _HEADER_RE takes.
+_MAX_FILE = 0xFFFFFFFF + len(f"QIRIS v{'9' * 20} seed={'9' * 20} chain=R1,R2,R3,R4")
+
+# The ASCII bytes that no row holds: whitespace as str.split sees it, but
+# for the tab and the newline that separate fields. A row holds any other
+# ASCII byte, and no byte above 0x7F.
+_NOT_ROW_ASCII = b"\x0b\x0c\x0d\x1c\x1d\x1e\x1f "
 
 # Each byte's class in an end code, an end's 3 bytes and the newline after
 # it: 1 for a base62 byte, 2 for a newline, else 0. An end code keeps the
 # row rule when its classes, read as a little-endian uint32, are _END_CODE.
 _END_CLASS = bytes(2 if b == 10 else int(chr(b) in BASE62_ALPHABET) for b in range(256))
 _END_CODE = 0x02010101
-
-# The separators of a part of `_CHUNK` rows: a newline before each start
-# and at the part's end, a tab before each end.
-_SEPARATORS = np.resize(np.array([10, 9], np.uint8), 2 * _CHUNK + 1)
 
 # A base62 byte is one of the 75 values from ord("0") to ord("z"), so an
 # end's bytes read in radix 75 give each end its own code point. The points
@@ -87,17 +89,18 @@ class Chain:
 class RainbowTable(Sequence):
     """What a table file holds: its rows, as the file's body holds them, and the seed.
 
-    `body` is the file's text after the header: its newline, then each row as
-    a line, `start<TAB>end`. Field k begins at `offsets[k]` (2N + 1 entries)
-    and ends one character before the next: row r's start is field 2r, its
-    end field 2r + 1. `starts`, `ends` and the table, the sequence of its
-    `Chain` rows (`chains`), slice fields on read. Tables are equal when their
-    rows and seeds are; one built from two lists joins them once, placing the
-    fields by their lengths, and accepts any strings. Frozen, its row check
-    and end column, made once, stay true.
+    `body` is the file's bytes after the header: its newline, then each row
+    as a line, `start<TAB>end`. Field k begins at `offsets[k]` (2N + 1
+    entries) and ends one byte before the next: row r's start is field 2r,
+    its end field 2r + 1. `starts`, `ends` and the table, the sequence of
+    its `Chain` rows (`chains`), slice and decode fields on read. Tables are
+    equal when their rows and seeds are; one built from two lists joins
+    their UTF-8 once, lone surrogates passed through, placing the fields by
+    their byte lengths, so it accepts any strings and reads them back as
+    given. Frozen, its row check and end column, made once, stay true.
     """
 
-    body: str
+    body: bytes
     offsets: array
     perm_seed: int
 
@@ -110,9 +113,9 @@ class RainbowTable(Sequence):
 
     def _join(self, parts, perm_seed: int) -> None:
         """Set body and offsets from `parts`, chunks of rows taken one by one to
-        bound memory: each its rows' text, `start<TAB>end` lines, and the
-        lengths of their starts and of their ends, which place the fields."""
-        texts, offsets = ["\n"], array("I", [1])
+        bound memory: each its rows' bytes, `start<TAB>end` lines, and the
+        byte lengths of their starts and of their ends, which place the fields."""
+        texts, offsets = [b"\n"], array("I", [1])
         for text, start_lengths, end_lengths in parts:
             sizes = np.empty((len(start_lengths), 2), np.intp)
             sizes[:, 0] = start_lengths
@@ -120,7 +123,7 @@ class RainbowTable(Sequence):
             sizes += 1  # the tab or newline after each field
             texts.append(text)
             offsets.frombytes((sizes.cumsum() + offsets[-1]).astype(np.uintc).tobytes())
-        vars(self).update(body="".join(texts), offsets=offsets, perm_seed=perm_seed)
+        vars(self).update(body=b"".join(texts), offsets=offsets, perm_seed=perm_seed)
 
     def __len__(self):
         return len(self.offsets) // 2
@@ -149,20 +152,17 @@ class RainbowTable(Sequence):
     def _checked(self) -> bool:
         """True when every row keeps the row rule, checked by `_row_fault` a part
         of `_CHUNK` rows at a time. A part's only tabs and newlines must be the
-        separators its offsets place, which a field holding one adds to, and a
-        non-ASCII part fails its encode. On any fault the first row that breaks
-        the rule is named as `table.chains[i]`."""
+        separators its offsets place, which a field holding one adds to; a
+        non-ASCII byte is one that no row holds. On any fault the first row
+        that breaks the rule is named as `table.chains[i]`."""
         body = self.body
-        try:
-            for lo, hi, fields in _row_parts(np.frombuffer(self.offsets, np.uintc)):
-                data = body[lo:hi].encode("ascii")
-                separators = np.count_nonzero(np.frombuffer(data, np.uint8) - 9 <= 1)  # \t, \n
-                if separators != len(fields) or _row_fault(data, fields) >= 0:
-                    break
-            else:
-                return True
-        except UnicodeEncodeError:
-            pass
+        for lo, hi, fields in _row_parts(np.frombuffer(self.offsets, np.uintc)):
+            data = body[lo:hi]
+            separators = np.count_nonzero(np.frombuffer(data, np.uint8) - 9 <= 1)  # \t, \n
+            if separators != len(fields) or _row_fault(data, fields)[0] >= 0:
+                break
+        else:
+            return True
         for pos, row in enumerate(self):
             _check_row(row.start, row.end, f"table.chains[{pos}]")
         raise AssertionError("table.chains: row check and rule disagree")
@@ -172,7 +172,7 @@ class RainbowTable(Sequence):
         """The packed end column: each row's 3 end bytes and a newline as a read-only
         little-endian uint32, once the rows keep the row rule (`_checked`)."""
         self._checked  # noqa: B018  (raises at the first row that breaks the rule)
-        return _end_column(self.body.encode("ascii"), np.frombuffer(self.offsets, np.uintc)[1::2])
+        return _end_column(self.body, np.frombuffer(self.offsets, np.uintc)[1::2])
 
     @cached_property
     def end_chars(self) -> str:
@@ -227,20 +227,23 @@ class _Column(Sequence):
             raise IndexError("column index out of range")
         k = 2 * i + self._field
         offsets = self._offsets
-        return self._body[offsets[k]:offsets[k + 1] - 1]
+        return self._body[offsets[k]:offsets[k + 1] - 1].decode("utf-8", "surrogatepass")
 
 
 def _listed_rows(starts, ends):
-    """One chunk of a table's rows, from lists, as `RainbowTable._join` takes it."""
-    rows = zip(starts, repeat("\t"), ends, repeat("\n"))
-    return "".join(chain.from_iterable(rows)), _lengths(starts), _lengths(ends)
+    """One chunk of a table's rows, from lists, as `RainbowTable._join` takes it:
+    their UTF-8, lone surrogates passed through, so any string reads back."""
+    starts, ends = ([field.encode("utf-8", "surrogatepass") for field in fields]
+                    for fields in (starts, ends))
+    rows = zip(starts, repeat(b"\t"), ends, repeat(b"\n"))
+    return b"".join(chain.from_iterable(rows)), _lengths(starts), _lengths(ends)
 
 
 def _walked_rows(words, specs):
     """One chunk of `generate_table`'s rows, as `RainbowTable._join` takes it.
 
     The rows are made as UTF-8 bytes, each word's own then a tab, its end's
-    bytes as the walk gives them and a newline, and decoded once.
+    bytes as the walk gives them and a newline.
     """
     messages = [word.encode() for word in words]
     lengths = _lengths(messages)
@@ -251,7 +254,7 @@ def _walked_rows(words, specs):
     # row k's tab follows the words up to its own and k tails of width + 2
     tabs = np.cumsum(lengths) + np.arange(0, len(words) * (width + 2), width + 2)
     np.frombuffer(rows, np.uint8)[tabs[:, None] + np.arange(1, width + 1)] = ends
-    return rows.decode(), _lengths(words), width
+    return rows, lengths, width
 
 
 def _lengths(items) -> np.ndarray:
@@ -282,8 +285,10 @@ def _row_parts(offsets: np.ndarray):
         yield lo, int(fields[-1]), np.subtract(fields, lo, dtype=np.intp)
 
 
-def _row_fault(data: bytes, fields: np.ndarray) -> int:
-    """Where the rows in `data` first break the row rule, or -1 if none does.
+def _row_fault(data: bytes, fields: np.ndarray) -> tuple:
+    """Where the rows in `data` first break the row rule, or -1 if none does,
+    and the end codes (see `_end_column`) of the rows before that: with no
+    fault, the part's whole end column.
 
     `data` is a part of a body (see `_row_parts`): a newline, then rows
     whose field k begins at `fields[k]`, ending at its last separator. The
@@ -292,26 +297,34 @@ def _row_fault(data: bytes, fields: np.ndarray) -> int:
     start, an end not 3 bytes long, or an end byte not base62. The earliest
     lies in the first line that the per-line row check refuses.
     """
-    # the bytes that no row holds, in order: the first is the first of its value
-    odd = data.translate(None, _ROW_BYTES)
-    fault = data.find(odd[:1]) if odd else len(data)
-    wrong = np.flatnonzero(np.frombuffer(data, np.uint8)[fields - 1] != _SEPARATORS[:len(fields)])
-    if len(wrong):
-        fault = min(fault, int(fields[wrong[0]]) - 1)
-    sizes = np.diff(fields)  # each field's length and the separator after it
-    bad = sizes != 4
-    bad[::2] = sizes[::2] < 2
-    bad = np.flatnonzero(bad)
-    if len(bad):
-        fault = min(fault, int(fields[bad[0]]))
-    # the ends before the fault have their 3 bytes and a separator
+    chars = np.frombuffer(data, np.uint8)
+    # the first byte above 0x7F, or the first of an ASCII value no row holds
+    fault = len(data) if data.isascii() else int(np.argmax(chars > 0x7F))
+    for byte in _NOT_ROW_ASCII:
+        found = data.find(byte, 0, fault)
+        if found >= 0:
+            fault = found
+    # a tab before each end; the newline before each start is data[0] or
+    # the byte after the end before it, which the end check below reads
     ends = fields[1::2]
+    wrong = np.flatnonzero(chars[ends - 1] != 9)
+    if len(wrong):
+        fault = min(fault, int(ends[wrong[0]]) - 1)
+    # a start's field and the tab after it are at least 2 bytes
+    empty = np.flatnonzero(ends - fields[:-1:2] < 2)
+    if len(empty):
+        fault = min(fault, int(fields[2 * empty[0]]))
+    # an end holds 3 bytes and a newline follows, which its code below
+    # checks, so no end begins in the part's last 3 bytes
+    short = np.searchsorted(ends, len(data) - 3)
+    if short < len(ends):
+        fault = min(fault, int(ends[short]))
     ends = ends[:np.searchsorted(ends, fault)]
-    classes = _end_column(data, ends).tobytes().translate(_END_CLASS)
-    bad = np.flatnonzero(np.frombuffer(classes, "<u4") != _END_CODE)
+    codes = _end_column(data, ends)
+    bad = np.flatnonzero(np.frombuffer(codes.tobytes().translate(_END_CLASS), "<u4") != _END_CODE)
     if len(bad):
         fault = int(ends[bad[0]])
-    return fault if fault < len(data) else -1
+    return (fault if fault < len(data) else -1), codes
 
 
 def _end_column(data: bytes, ends: np.ndarray) -> np.ndarray:
@@ -439,23 +452,23 @@ def _check_line(line: str, lineno: int) -> None:
     _check_row(*parts, f"line {lineno}")
 
 
-def _read_text(path, label: str) -> str:
-    """A text file's contents, refusing CRLF line endings by the first such line.
+def _read_bytes(path, label: str) -> bytes:
+    """A text file's bytes, refusing CRLF line endings by the first such line.
 
-    latin-1 maps every byte to one character, so no byte is a decode error:
-    a non-ASCII byte reaches the checks of its line and is reported with
-    the line's number. The error is prefixed by `label` (e.g. "line" or
-    "wordlist line").
+    The error is prefixed by `label` (e.g. "line" or "wordlist line"). A
+    reader that decodes the bytes as latin-1, which maps every byte to one
+    character, makes no byte a decode error: a non-ASCII byte reaches the
+    checks of its line and is reported with the line's number.
     """
     with open(path, "rb") as fh:
-        text = fh.read().decode("latin-1")
-    # every row ends in the needle's "\n", so the two-character search is
-    # slow; a one-character scan rules out most files first
-    crlf = text.find("\r\n") if "\r" in text else -1
+        data = fh.read()
+    # every row ends in the needle's "\n", so the two-byte search is slow;
+    # a one-byte scan rules out most files first
+    crlf = data.find(b"\r\n") if b"\r" in data else -1
     if crlf >= 0:
-        lineno = text.count("\n", 0, crlf) + 1
+        lineno = data.count(b"\n", 0, crlf) + 1
         raise ValueError(f"{label} {lineno}: file has CRLF line endings; use LF")
-    return text
+    return data
 
 
 @lru_cache(maxsize=1)
@@ -505,7 +518,7 @@ def build_buckets(table: RainbowTable) -> BucketIndex:
 
 
 def save_table(table: RainbowTable, path) -> None:
-    """Write the table as ASCII text: a header line, then `start<TAB>end` rows.
+    """Write the table as ASCII text: a header line, then its body's `start<TAB>end` rows.
 
     Refuses what load_table would: no chains, a seed outside 0..2^64-1, or a
     row that breaks _check_row, found by the table's one row check.
@@ -524,13 +537,13 @@ def save_table(table: RainbowTable, path) -> None:
     try:
         if os.path.exists(real) and not os.path.isfile(real):  # e.g. /dev/null, a FIFO
             raise OSError(errno.EEXIST, "Not a regular file")
-        fh = open(tmp, "x", encoding="ascii", newline="")
+        fh = open(tmp, "xb")
     except OSError as exc:
         exc.filename = os.fspath(path)  # name the path asked for, not the temporary file
         raise
     try:
         with fh:
-            fh.write(f"QIRIS v{TABLE_VERSION} seed={table.perm_seed} chain=R1,R2,R3,R4\n")
+            fh.write(b"QIRIS v%d seed=%d chain=R1,R2,R3,R4\n" % (TABLE_VERSION, table.perm_seed))
             for i in range(0, len(table), _CHUNK):
                 j = min(i + _CHUNK, len(table))
                 fh.write(table.body[table.offsets[2 * i]:table.offsets[2 * j]])
@@ -543,18 +556,26 @@ def save_table(table: RainbowTable, path) -> None:
 def load_table(path) -> RainbowTable:
     """Read a table file written by save_table.
 
-    The permutation seed comes from the header; build_buckets derives the end
-    hashes from it. The body is kept whole. A numpy scan of its bytes, 64 KiB
-    at a time, finds the field offsets; `_row_fault` checks the rows against
-    them, `_CHUNK` rows at a time, and the end column is gathered from them.
-    Malformed headers, unsupported versions and malformed rows are refused
-    with the number of the offending line: for rows, the line the first
-    fault lies in, whose error _check_line makes.
+    A path that is no regular file is refused unopened, a file larger than
+    `_MAX_FILE` unread. The file is read once, as bytes; its body, the bytes
+    after the header, is kept whole. The permutation seed comes from the
+    header; build_buckets derives the end hashes from it. A numpy scan of
+    the body, 64 KiB at a time, finds the field offsets; `_row_fault` checks
+    the rows against them, `_CHUNK` rows at a time, and gathers the stored
+    end column. Malformed headers, unsupported versions and malformed rows
+    are refused with the number of the offending line: for rows, the line
+    the first fault lies in, whose error _check_line makes.
     """
-    text = _read_text(path, "line")
-    if not text.endswith("\n"):
-        text += "\n"
-    header = text[:text.index("\n")]
+    info = os.stat(path)
+    if not stat.S_ISREG(info.st_mode):  # e.g. /dev/zero, a FIFO, a directory
+        raise OSError(errno.EINVAL, "Not a regular file", os.fspath(path))
+    if info.st_size > _MAX_FILE:
+        raise ValueError("table file is 4 GiB or more")
+    data = _read_bytes(path, "line")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    newline = data.index(b"\n")
+    header = data[:newline].decode("latin-1")
     if not header:
         raise ValueError("line 1: missing table header")
     match = _HEADER_RE.match(header)
@@ -567,22 +588,27 @@ def load_table(path) -> RainbowTable:
     if seed > MASK64:
         raise ValueError(f"line 1: permutation seed {seed} does not fit in 64 bits")
 
-    body = text[len(header):]
+    body = data[newline:]
+    del data  # the file's bytes, held only until the body is sliced out
     if len(body) > 0xFFFFFFFF:
         raise ValueError("table file is 4 GiB or more")
-    data = body.encode("latin-1")
-    offsets = _field_offsets(data)
+    offsets = _field_offsets(body)
     fields = np.frombuffer(offsets, np.uintc)
+    end_codes = np.empty(len(fields) // 2, "<u4")
+    rows = 0
     for lo, hi, part in _row_parts(fields):
-        fault = _row_fault(data[lo:hi], part)
+        fault, codes = _row_fault(body[lo:hi], part)
         if fault >= 0:
             fault += lo
-            lineno = body.count("\n", 0, fault) + 1
-            _check_line(body[body.rfind("\n", 0, fault) + 1:body.index("\n", fault)], lineno)
+            lineno = body.count(b"\n", 0, fault) + 1
+            line = body[body.rfind(b"\n", 0, fault) + 1:body.index(b"\n", fault)]
+            _check_line(line.decode("latin-1"), lineno)
             raise AssertionError(f"line {lineno}: row check and rule disagree")
-    if body == "\n":
+        end_codes[rows:rows + len(codes)] = codes
+        rows += len(codes)
+    if body == b"\n":
         raise ValueError("table has no chains")
-    end_codes = _end_column(data, fields[1::2])
+    end_codes.flags.writeable = False
     table = RainbowTable.__new__(RainbowTable)  # checked above, with its end column stored
     vars(table).update(body=body, offsets=offsets, perm_seed=seed, _checked=True,
                        end_codes=end_codes)

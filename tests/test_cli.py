@@ -557,6 +557,56 @@ def test_console_script_and_module_run_main(tmp_path):
     assert result.stdout.startswith("usage: qiris")
 
 
+# Runs `qiris` in a child whose address space is capped at 2 GiB, under
+# tracemalloc, and prints the traced peak on stdout.
+_CAPPED_QIRIS = """
+import resource, sys, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from qiris.cli import main
+tracemalloc.start()
+code = main(sys.argv[1:])
+print(tracemalloc.get_traced_memory()[1])
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("kind", ["dev-zero", "fifo", "directory", "sparse"])
+def test_crack_refuses_a_table_before_reading_it(kind, tmp_path):
+    # a table path that is no regular file, or a file too large for the
+    # uint32 field offsets, is refused from its stat: neither read into
+    # memory nor opened, so a FIFO does not block
+    if kind == "dev-zero":
+        path, message = "/dev/zero", "Not a regular file: '/dev/zero'"
+    elif kind == "fifo":
+        path = str(tmp_path / "fifo")
+        os.mkfifo(path)
+        message = f"Not a regular file: {path!r}"
+    elif kind == "directory":
+        path, message = str(tmp_path), f"Not a regular file: {str(tmp_path)!r}"
+    else:
+        # the longest header _HEADER_RE takes, and 4 GiB - 1 body bytes, fit
+        longest = f"QIRIS v{'9' * 20} seed={'9' * 20} chain=R1,R2,R3,R4"
+        assert rainbow_table._HEADER_RE.match(longest)
+        assert rainbow_table._MAX_FILE == len(longest) + 0xFFFFFFFF
+        path, message = str(tmp_path / "sparse.txt"), "table file is 4 GiB or more"
+        with open(path, "wb"):
+            pass
+        os.truncate(path, rainbow_table._MAX_FILE + 1)
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", _CAPPED_QIRIS, "crack", "--table", path, md5_hex("a")],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"},
+        timeout=60,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.endswith(message + "\n")
+    assert result.stderr.count("\n") == 1 and len(result.stderr.encode()) < 300
+    assert int(result.stdout) < 2**20
+
+
 # sha256 of the table file `generate` writes from a seeded 20,000-word list,
 # of the stdout of 40 `crack --report` calls on it (hits and misses in turn)
 # and of one `compare` CSV over the same 40 digests, taken from the

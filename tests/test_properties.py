@@ -212,6 +212,69 @@ def test_save_table_names_the_first_bad_row_of_a_table_built_in_memory(rows, fil
         assert load_table(path) == table
 
 
+# Any string as a field of a table built in memory: lone surrogates (and a
+# pair of them, which is not the astral character they would encode), astral
+# characters, tabs, newlines and the empty string among them.
+ANY_FIELDS = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=4),
+    st.sampled_from(
+        ["", "\t", "\n", "a\tb", "a\nb", "\ud800", "\udfff", "\ud83d\ude00", "\U0001f600",
+         "\U0010ffff", "abc", "w0"]
+    ),
+)
+ANY_ROWS = st.lists(st.builds(Chain, start=ANY_FIELDS, end=ANY_FIELDS), max_size=4)
+
+
+def _as_pairs(text):
+    """`text` with each astral character spelled as two lone surrogates."""
+    return "".join(
+        c if ord(c) < 0x10000 else chr(0xD7C0 + (ord(c) >> 10)) + chr(0xDC00 + (ord(c) & 0x3FF))
+        for c in text
+    )
+
+
+def _variant(rows, data):
+    """Rows drawn to sit near `rows`: the same, each row's start and end
+    split at another of their tabs, or astral characters spelled as
+    surrogate pairs; or any rows."""
+    how = data.draw(st.sampled_from(["same", "tabs", "pairs", "any"]))
+    if how == "tabs":
+        texts = [f"{row.start}\t{row.end}" for row in rows]
+        cuts = [data.draw(st.sampled_from([i for i, c in enumerate(t) if c == "\t"])) for t in texts]
+        return [Chain(t[:k], t[k + 1:]) for t, k in zip(texts, cuts)]
+    if how == "pairs":
+        return [Chain(_as_pairs(row.start), _as_pairs(row.end)) for row in rows]
+    return rows if how == "same" else data.draw(ANY_ROWS)
+
+
+@settings(deadline=None)
+@given(ANY_ROWS, st.data())
+def test_a_table_built_in_memory_reads_back_any_strings(rows, data):
+    table = RainbowTable([row.start for row in rows], [row.end for row in rows], 44)
+    assert list(table) == rows and table[:] == rows
+    assert [table.starts[i] for i in range(len(rows))] == [row.start for row in rows]
+    # tables are equal exactly when their rows and seeds are
+    other_rows, seed = _variant(rows, data), data.draw(st.sampled_from([44, 45]))
+    other = RainbowTable([row.start for row in other_rows], [row.end for row in other_rows], seed)
+    assert (other == table) == (other_rows == rows and seed == 44)
+    # save_table refuses the first row that breaks the row rule, by its index
+    expected = None if rows else "table has no chains"
+    for i, row in enumerate(rows):
+        try:
+            rainbow_table._check_row(row.start, row.end, f"table.chains[{i}]")
+        except ValueError as exc:
+            expected = str(exc)
+            break
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.txt")
+        try:
+            save_table(table, path)
+        except ValueError as exc:
+            assert str(exc) == expected
+            return
+        assert expected is None and load_table(path) == table
+
+
 def _mutate(data, edits):
     data = bytearray(data)
     for pos, byte in edits:
@@ -363,26 +426,28 @@ def test_loaders_agree_at_each_edge(data):
 # a table line is what lies between two newlines, so it holds none
 TABLE_LINES = st.one_of(
     VALID_LINES, EDGE_LINES, st.sampled_from(CLASS_EDGES), st.binary(max_size=8)
-).map(lambda line: line.decode("latin-1")).filter(lambda line: "\n" not in line)
+).filter(lambda line: b"\n" not in line)
 
 
 @given(TABLE_LINES)
 def test_row_check_accepts_exactly_the_lines_the_row_rule_accepts(line):
     try:
-        rainbow_table._check_line(line, 2)
+        rainbow_table._check_line(line.decode("latin-1"), 2)
     except ValueError:
         is_row = False
     else:
         is_row = True
-    # the line as load_table checks it: after a newline, its fields where
-    # the offset scan finds them
-    data = ("\n" + line + "\n").encode("latin-1")
+    # the line as load_table checks it: the file's bytes after a newline,
+    # its fields where the offset scan finds them
+    data = b"\n" + line + b"\n"
     fields = np.frombuffer(rainbow_table._field_offsets(data), np.uintc)
     (lo, hi, part), = rainbow_table._row_parts(fields)
-    fault = rainbow_table._row_fault(data[lo:hi], part)
+    fault, codes = rainbow_table._row_fault(data[lo:hi], part)
     assert (fault < 0) == is_row
-    # a fault lies in the line or at the newline that ends it
+    # a fault lies in the line or at the newline that ends it; a row's
+    # check gathers its end code, its end's 3 bytes and the newline
     assert is_row or 1 <= fault <= len(line) + 1
+    assert not is_row or codes.tolist() == [int.from_bytes(data[-4:], "little")]
 
 
 def _lines_file(lines):

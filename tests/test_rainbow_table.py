@@ -357,8 +357,8 @@ def test_tables_are_equal_when_their_rows_and_seeds_are(table100, tmp_path):
 def test_row_rule_is_searched_once_per_table(monkeypatch, tmp_path):
     # save_table and the end column share one check of a table built in
     # memory, a part of rows at a time; a loaded table was checked by
-    # load_table, which stored its end column
-    searched, parts = [], []
+    # load_table, which stored the end column that its check gathered
+    searched, parts, gathered = [], [], []
 
     def searching(offsets):
         searched.append(len(offsets) // 2)
@@ -368,19 +368,30 @@ def test_row_rule_is_searched_once_per_table(monkeypatch, tmp_path):
         parts.append(len(fields) // 2)
         return row_fault(data, fields)
 
+    def gathering(data, ends):
+        gathered.append(len(ends))
+        return end_column(data, ends)
+
     row_parts, row_fault = rainbow_table._row_parts, rainbow_table._row_fault
+    end_column = rainbow_table._end_column
     monkeypatch.setattr(rainbow_table, "_row_parts", searching)
     monkeypatch.setattr(rainbow_table, "_row_fault", checking)
+    monkeypatch.setattr(rainbow_table, "_end_column", gathering)
     table = RainbowTable(_words(20_000), ["abc"] * 20_000, 44)
     path = tmp_path / "table.txt"
     save_table(table, path)
     build_buckets(table)
     save_table(table, path)
     assert len(searched) == 1
-    assert parts == [rainbow_table._CHUNK, rainbow_table._CHUNK, 20_000 - 2 * rainbow_table._CHUNK]
+    parts_of_20k = [rainbow_table._CHUNK, rainbow_table._CHUNK, 20_000 - 2 * rainbow_table._CHUNK]
+    assert parts == parts_of_20k
+    # one gather a part to check, and the whole column for the buckets
+    assert gathered == [*parts_of_20k, 20_000]
     loaded = load_table(path)
     assert len(searched) == 2 and "end_codes" in vars(loaded)
     assert searched == [20_000, 20_000] and len(parts) == 6
+    # the load gathers each part's ends once, in its check
+    assert gathered == [*parts_of_20k, 20_000, *parts_of_20k]
     assert build_buckets(loaded) == build_buckets(table)
     save_table(loaded, path)
     assert len(searched) == 2
@@ -394,19 +405,24 @@ def test_row_rule_is_searched_once_per_table(monkeypatch, tmp_path):
 
 
 def test_loaded_table_memory(tmp_path):
-    # the loaded rows are one string and one offset array, not a string per
-    # row, and the offsets are found a part of the body at a time: the file's
-    # text, the body and its bytes (1.1 MB each) and what is held set the peak
+    # the loaded rows are one bytes body and one offset array, not a string
+    # per row, and the offsets are found a part of the body at a time: the
+    # file's bytes and the body (1.1 MB each for w0..w99999, 1.3 MB for
+    # seeded 6-10-character base62 words, as a real wordlist has) and what
+    # is held set the peak
     rows = 100_000
+    rng = random.Random(0)
+    base62 = ["".join(rng.choices(BASE62_ALPHABET, k=rng.randint(6, 10))) for _ in range(rows)]
     path = tmp_path / "table.txt"
-    save_table(RainbowTable(_words(rows), ["abc"] * rows, 44), path)
-    tracemalloc.start()
-    try:
-        table = load_table(path)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(table) == rows and held < 4 * 2**20 and peak < 5 * 2**20
+    for starts in (_words(rows), base62):
+        save_table(RainbowTable(starts, ["abc"] * rows, 44), path)
+        tracemalloc.start()
+        try:
+            table = load_table(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == rows and held < 4 * 2**20 and peak < 5 * 2**20
 
 
 def test_rows_ending_scans_the_end_column():
