@@ -22,7 +22,7 @@ from .rainbow_table import (
     load_table,
     save_table,
 )
-from .search import SearchConfig, SearchReport, crack, crack_classical_scan
+from .search import SearchConfig, SearchReport, _probe, crack
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 1
@@ -32,6 +32,9 @@ COMPARE_CSV_HEADER = (
     "hash,found_q,found_c,agree,"
     "grover_invocations,grover_iterations_total,classical_scan_length"
 )
+
+# the longest hashes line read, its newline counted: a digest line takes 33 bytes
+_MAX_HASHES_LINE = 64
 
 _REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(SearchReport) if f.name != "result")
 
@@ -47,15 +50,29 @@ def _read_wordlist(path):
 
 
 def _read_hashes(path):
-    text = _read_bytes(path, "hashes line").decode("latin-1")
-    digests = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if line == "":
-            continue
-        try:
-            digests.append(normalize_digest(line))
-        except ValueError:
-            raise ValueError(f"hashes line {lineno}: not a 32-character hex digest")
+    """The digests of a hashes file, one a line, read a line at a time.
+
+    A line longer than _MAX_HASHES_LINE bytes ends the read at once, so an
+    endless line is never held, and a CRLF line is refused at once. The
+    first bad digest, or that long line, is named once reading has ended.
+    """
+    digests, bad = [], None
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(iter(lambda: fh.readline(_MAX_HASHES_LINE + 1), b""), 1):
+            if len(line) > _MAX_HASHES_LINE:
+                bad = bad or lineno
+                break
+            if line.endswith(b"\r\n"):
+                raise ValueError(f"hashes line {lineno}: file has CRLF line endings; use LF")
+            line = line.removesuffix(b"\n").decode("latin-1")
+            if not line:
+                continue
+            try:
+                digests.append(normalize_digest(line))
+            except ValueError:
+                bad = bad or lineno
+    if bad:
+        raise ValueError(f"hashes line {bad}: not a 32-character hex digest")
     return digests
 
 
@@ -97,8 +114,8 @@ def cmd_compare(args) -> int:
     print(COMPARE_CSV_HEADER)
     all_agree = True
     for digest in digests:
-        report = crack(digest, table, index, index.perm, specs, cfg)
-        classical, scanned = crack_classical_scan(digest, table, specs)
+        # one suffix loop with both paths on: each suffix walked, each row rebuilt, once
+        report, classical, scanned = _probe(digest, table, specs, index, cfg, scan=True)
         agree = report.result == classical
         all_agree = all_agree and agree
         found = (report.result is not None, classical is not None, agree)

@@ -1,4 +1,4 @@
-"""Hybrid crack procedure and its classical baseline.
+"""Hybrid crack procedure and its classical baseline, over one suffix loop.
 
 For each chain suffix the query hash is reduced to a candidate end plaintext.
 The quantum path reads the candidate's bucket mask, whose bit count picks
@@ -7,11 +7,15 @@ finds the rows ending in the candidate by one search of its bucket's ends
 in the index; the classical baseline compares the candidate with every
 chain end instead, one O(N) scan of the table's end column per suffix. Any
 hit is verified by rebuilding the chain and comparing MD5 digests, so both
-paths only ever return true preimages. The simulated Grover vote is checked
-once per config: `SearchConfig` refuses one whose vote rejects a present
-residue in a bucket it sends to Grover. An absent residue never receives a
-shot, so for an accepted config the vote is membership, and `crack` decides
-every probe by whether the residue is present.
+paths only ever return true preimages. Both paths run in one loop,
+`_probe`: `crack` turns the bucket path on, `crack_classical_scan` the scan
+path, and `qiris compare` both, so each suffix is walked once and each row
+both paths fetch is rebuilt once, while each path still finds its own rows.
+The simulated Grover vote is checked once per config: `SearchConfig`
+refuses one whose vote rejects a present residue in a bucket it sends to
+Grover. An absent residue never receives a shot, so for an accepted config
+the vote is membership, and `crack` decides every probe by whether the
+residue is present.
 """
 
 import hashlib
@@ -107,7 +111,7 @@ def crack(
     specs,
     cfg: SearchConfig = SearchConfig(),
 ) -> SearchReport:
-    """Attempt to invert `hash_hex` against the table.
+    """Attempt to invert `hash_hex` against the table: `_probe` with the bucket path on.
 
     Tries suffixes of increasing length i = 1..len(specs); the i-th suffix
     reproduces a chain end when the query hash sits at depth len(specs)-i.
@@ -120,43 +124,15 @@ def crack(
     Each probe reads one bucket mask: 0 is a miss, its bit count is m, and
     its bit at the residue decides the probe by membership: `cfg` was
     accepted only because its vote agrees with membership (`SearchConfig`).
-    An index whose row count or seed differs from the table's is refused.
+    A permutation or an index whose row count or seed differs from the
+    table's is refused.
     """
     query = normalize_digest(hash_hex)
-    raw = bytes.fromhex(query)
     if perm.seed != table.perm_seed:
         raise ValueError(
             f"permutation seed {perm.seed} does not match table seed {table.perm_seed}"
         )
-    if len(buckets.rows) != len(table) or buckets.perm.seed != table.perm_seed:
-        raise ValueError(
-            f"index over {len(buckets.rows)} rows with seed {buckets.perm.seed} was not "
-            f"built from this table ({len(table)} rows, seed {table.perm_seed})"
-        )
-    report = SearchReport()
-    n = len(specs)
-    for i in range(1, n + 1):
-        report.chains_examined = i
-        text = walk_chain(raw, specs[n - i:])
-        h = pearson16(text, perm)
-        mask = buckets.masks[h // BUCKET_WIDTH]
-        if mask == 0:
-            report.bucket_misses += 1
-            continue
-        m = mask.bit_count()
-        if m <= cfg.classical_threshold:
-            report.classical_fallbacks += 1
-        else:
-            report.grover_invocations += 1
-            report.grover_iterations_total += grover_iterations(m)
-        if not mask >> h % BUCKET_WIDTH & 1:
-            continue
-        for row in buckets.rows_for(h, text):
-            candidate, candidate_hash = rebuild_chain(table.starts[row], specs[: n - i])
-            if candidate_hash == query:
-                report.result = candidate
-                return report
-    return report
+    return _probe(query, table, specs, buckets, cfg)[0]
 
 
 def crack_classical(hash_hex: str, table: RainbowTable, specs) -> str | None:
@@ -171,17 +147,84 @@ def crack_classical(hash_hex: str, table: RainbowTable, specs) -> str | None:
 
 
 def crack_classical_scan(hash_hex: str, table: RainbowTable, specs) -> tuple:
-    """Classical crack plus the number of end-plaintext comparisons it made."""
-    query = normalize_digest(hash_hex)
+    """Classical crack plus the number of end-plaintext comparisons it made:
+    `_probe` with the scan path on.
+
+    Each suffix's pass compares the rows up to the verified match, or every
+    row. The suffix walks and verify rebuilds are the ones `crack` makes;
+    only the row lookup differs, the O(N) end-column scan against the
+    bucket masks and `rows_for`.
+    """
+    return _probe(normalize_digest(hash_hex), table, specs, scan=True)[1:]
+
+
+def _probe(query: str, table: RainbowTable, specs, index=None, cfg=None, scan=False) -> tuple:
+    """The suffix loop of both crack paths, for the normalised digest `query`.
+
+    The bucket path is on when `index` and `cfg` are given, the scan path
+    when `scan` is true, and `qiris compare` turns both on. Each suffix is
+    walked once. The bucket path finds the candidate's rows by its mask and
+    `index.rows_for`, and counts the probe in its report; the scan path
+    finds them by `table.rows_ending`, one O(N) pass over the end column,
+    and counts the rows compared. The rows either path fetched are rebuilt
+    once each, in ascending order, and a verified row counts only for a
+    path that fetched it. A path stops at its first verified row, and the
+    loop once every path that is on has stopped. Returns (report, result,
+    scanned): the bucket path's report, None when it is off, and the scan
+    path's result and count. An index whose row count or seed differs
+    from the table's is refused.
+    """
     raw = bytes.fromhex(query)
     n = len(specs)
+    report = found = None
     scanned = 0
-    for i in range(1, n + 1):
-        text = walk_chain(raw, specs[n - i:])
-        # a pass compares the rows up to the verified match, or every row
-        for row in table.rows_ending(text):
-            candidate, candidate_hash = rebuild_chain(table.starts[row], specs[: n - i])
-            if candidate_hash == query:
-                return candidate, scanned + row + 1
-        scanned += len(table.end_chars)  # the column scanned; len(table) is a Python call
-    return None, scanned
+    bucket = index is not None  # this and `scan` stay true while their path probes
+    if bucket:
+        if len(index.rows) != len(table) or index.perm.seed != table.perm_seed:
+            raise ValueError(
+                f"index over {len(index.rows)} rows with seed {index.perm.seed} was not "
+                f"built from this table ({len(table)} rows, seed {table.perm_seed})"
+            )
+        report = SearchReport(None, n)
+        masks, perm, threshold = index.masks, index.perm, cfg.classical_threshold
+    if scan:
+        column = len(table.end_chars)  # the rows one pass compares; len(table) is a Python call
+    # the suffix specs[depth:] reaches a chain end from the query at `depth`
+    for depth in range(n - 1, -1, -1):
+        text = walk_chain(raw, specs[depth:])
+        if bucket:
+            h = pearson16(text, perm)
+            mask = masks[h // BUCKET_WIDTH]
+            if not mask:
+                report.bucket_misses += 1
+                fetched = ()
+            else:
+                m = mask.bit_count()
+                if m <= threshold:
+                    report.classical_fallbacks += 1
+                else:
+                    report.grover_invocations += 1
+                    report.grover_iterations_total += grover_iterations(m)
+                fetched = index.rows_for(h, text) if mask >> h % BUCKET_WIDTH & 1 else ()
+        if scan:
+            rows = ending = table.rows_ending(text)
+            scanned += column
+            # a sound index fetches just the rows the scan finds
+            if bucket and fetched and fetched != ending:
+                rows = sorted({*fetched, *ending})
+        elif fetched:
+            rows = fetched
+        else:
+            continue
+        for row in rows:
+            plain, digest = rebuild_chain(table.starts[row], specs[:depth])
+            if digest == query:
+                if bucket and row in fetched:
+                    report.result, report.chains_examined, bucket = plain, n - depth, False
+                if scan and row in ending:
+                    found, scan = plain, False
+                    # the pass compared only the rows up to the verified one
+                    scanned -= column - row - 1
+                if not (bucket or scan):
+                    return report, found, scanned
+    return report, found, scanned

@@ -11,10 +11,18 @@ from pathlib import Path
 import pytest
 from conftest import fail_third_chunk_write
 
+import qiris.search
 from qiris import rainbow_table
 from qiris.cli import COMPARE_CSV_HEADER, main
-from qiris.hashing import BASE62_ALPHABET, build_permutation, md5_hex
-from qiris.search import rebuild_chain
+from qiris.hashing import BASE62_ALPHABET, build_permutation, md5_hex, walk_chain
+from qiris.rainbow_table import (
+    BucketIndex,
+    RainbowTable,
+    build_buckets,
+    load_table,
+    save_table,
+)
+from qiris.search import crack, crack_classical_scan, rebuild_chain
 
 HEADER = b"QIRIS v1 seed=44 chain=R1,R2,R3,R4"
 
@@ -605,6 +613,87 @@ def test_crack_refuses_a_table_before_reading_it(kind, tmp_path):
     assert result.stderr.startswith("error: ") and result.stderr.endswith(message + "\n")
     assert result.stderr.count("\n") == 1 and len(result.stderr.encode()) < 300
     assert int(result.stdout) < 2**20
+
+
+def test_compare_refuses_an_endless_hashes_line(workspace, tmp_path):
+    # the hashes file is read a line at a time, so /dev/zero's one endless
+    # line is refused once it passes the cap, never held whole
+    root = Path(__file__).resolve().parents[1]
+    argv = ["compare", "--table", str(workspace["table"]), "--hashes", "/dev/zero"]
+    result = subprocess.run(
+        [sys.executable, "-c", _CAPPED_QIRIS, *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"},
+        timeout=60,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == "error: hashes line 1: not a 32-character hex digest\n"
+    assert int(result.stdout) < 2**20
+
+
+def _compare_inputs(workspace, words100, specs, tmp_path):
+    """The words100 table plus one false alarm for each miss at each suffix,
+    and a hashes file of hits at depths 0-3, then the misses: (table, digests,
+    hashes)."""
+    digests = [rebuild_chain(w, specs[:depth])[1] for depth in range(4) for w in words100[::9]]
+    misses = [md5_hex(f"not in the table {i}") for i in range(8)]
+    # rows that end in a miss's candidate end, but whose starts rebuild to
+    # another digest
+    alarms = [walk_chain(bytes.fromhex(d), specs[depth:]) for d in misses for depth in range(4)]
+    opened = load_table(workspace["table"])
+    starts = [*opened.starts, *(f"alarm{i}" for i in range(len(alarms)))]
+    table = tmp_path / "table.txt"
+    save_table(RainbowTable(starts, [*opened.ends, *alarms], opened.perm_seed), table)
+    digests += misses
+    hashes = tmp_path / "hashes.txt"
+    hashes.write_text("".join(f"{d}\n" for d in digests), encoding="ascii")
+    return str(table), digests, hashes
+
+
+def test_compare_rebuilds_as_often_as_crack_alone(workspace, words100, specs, tmp_path,
+                                                  monkeypatch, capsys):
+    # both paths fetch the same rows from one suffix walk and share each
+    # row's verify rebuild, so `compare` rebuilds no more than `crack` does
+    table, digests, hashes = _compare_inputs(workspace, words100, specs, tmp_path)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rebuild_chain(*args)
+
+    monkeypatch.setattr(qiris.search, "rebuild_chain", counted)
+    codes = [run_cli(["crack", "--table", table, d]) for d in digests]
+    assert codes.count(0) == len(digests) - 8
+    cracked, calls[:] = calls[:], []
+    assert run_cli(["compare", "--table", table, "--hashes", str(hashes)]) == 0
+    # a rebuild for each hit and for each of the 32 false alarms at least
+    assert len(calls) == len(cracked) >= len(digests) - 8 + 32
+    capsys.readouterr()
+
+
+def test_compare_keeps_the_paths_apart_under_a_broken_index(workspace, words100, specs,
+                                                            tmp_path, monkeypatch, capsys):
+    # an index that finds no row: the scan's verified rows must not become
+    # the hybrid's answers, and each row reads as separate calls would
+    table, digests, hashes = _compare_inputs(workspace, words100, specs, tmp_path)
+    monkeypatch.setattr(BucketIndex, "rows_for", lambda self, h, end: [])
+    assert run_cli(["compare", "--table", table, "--hashes", str(hashes)]) == 1
+    rows = capsys.readouterr().out.splitlines()[1:]
+    opened = load_table(table)
+    index = build_buckets(opened)
+    expected = []
+    for digest in digests:
+        report = crack(digest, opened, index, index.perm, specs)
+        classical, scanned = crack_classical_scan(digest, opened, specs)
+        found = (report.result is not None, classical is not None, report.result == classical)
+        counts = (report.grover_invocations, report.grover_iterations_total, scanned)
+        expected.append(",".join([digest, *(str(f).lower() for f in found), *map(str, counts)]))
+    assert rows == expected
+    hits = len(digests) - 8
+    assert all(row.split(",")[1:4] == ["false", "true", "false"] for row in rows[:hits])
+    assert all(row.split(",")[1:4] == ["false", "false", "true"] for row in rows[hits:])
 
 
 # sha256 of the table file `generate` writes from a seeded 20,000-word list,

@@ -3,10 +3,12 @@ masks, the hybrid crack, the Grover decision table, the permutation, the
 SplitMix64 stream, the table file, and the CLI's input files and flags."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
 import re
+from array import array
 from collections import Counter
 import tempfile
 
@@ -30,7 +32,7 @@ from qiris.hashing import (
 )
 from qiris.prng import GAMMA, splitmix64_block
 from qiris import rainbow_table
-from qiris.cli import main
+from qiris.cli import _MAX_HASHES_LINE, _read_hashes, main
 from qiris.quantum_sim import _SHOT_CHUNK, grover_decisions, grover_search
 from qiris.rainbow_table import (
     BUCKET_WIDTH,
@@ -43,6 +45,7 @@ from qiris.rainbow_table import (
 )
 from qiris.search import (
     SearchConfig,
+    _probe,
     crack,
     crack_classical,
     crack_classical_scan,
@@ -517,6 +520,50 @@ def test_cli_input_files_fail_only_with_one_line_naming_error(command, wordlist,
     assert message in WHOLE_FILE_ERRORS or re.match(LINE_PREFIXES[command], message)
 
 
+def _whole_hashes_file(data):
+    """The hashes file rule on the whole file at once: a CRLF line anywhere is
+    named first, then the first line that is not a digest."""
+    crlf = data.find(b"\r\n")
+    if crlf >= 0:
+        lineno = data.count(b"\n", 0, crlf) + 1
+        return f"hashes line {lineno}: file has CRLF line endings; use LF"
+    digests = []
+    for lineno, line in enumerate(data.decode("latin-1").split("\n"), start=1):
+        if line:
+            try:
+                digests.append(normalize_digest(line))
+            except ValueError:
+                return f"hashes line {lineno}: not a 32-character hex digest"
+    return digests
+
+
+@settings(deadline=None)
+@given(st.one_of(HASHES_FILES, _lines_file(st.binary(max_size=2 * _MAX_HASHES_LINE))))
+# a long line is named though a later line has CRLF, and an earlier bad
+# line is named before it
+@example(data=b"x" * 70 + b"\n" + PASSWORD_MD5.encode() + b"\r\n")
+@example(data=b"zz\n" + b"y" * 80)
+def test_hashes_file_reads_as_whole_up_to_its_first_long_line(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "hashes")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            read = _read_hashes(path)
+        except ValueError as exc:
+            read = str(exc)
+    # a line longer than the cap, its newline counted, ends the read as a
+    # bad line would, whatever follows it
+    pos = 0
+    for line in data.split(b"\n"):
+        end = min(pos + len(line) + 1, len(data))
+        if end - pos > _MAX_HASHES_LINE:
+            data = data[:pos] + b"x"
+            break
+        pos = end
+    assert read == _whole_hashes_file(data)
+
+
 def _assert_one_error_line(stderr):
     # under 300 bytes in any stderr encoding: a non-ASCII character takes at
     # most as many bytes as its backslash escape
@@ -789,9 +836,10 @@ def test_classical_scan_matches_the_list_index_reference(
     st.integers(1, 16),
     st.integers(0, 2**64 - 1),
     st.lists(st.integers(0, BUCKET_WIDTH), min_size=1, max_size=4),
+    st.integers(0, 1),
 )
 def test_crack_agrees_with_classical(
-    perm44, end_for_hash, specs, words, hits, misses, threshold, shots, seed, fills
+    perm44, end_for_hash, specs, words, hits, misses, threshold, shots, seed, fills, lost
 ):
     try:
         cfg = SearchConfig(shots=shots, classical_threshold=threshold, rng_seed=seed)
@@ -811,6 +859,14 @@ def test_crack_agrees_with_classical(
     fillers = [f"fill{i}" for i in range(len(ends))]
     table = RainbowTable(list(table.starts) + fillers, list(table.ends) + ends, table.perm_seed)
     index = build_buckets(table)
+    # two unsound pairs, so the paths stop at different suffixes or fetch
+    # different rows: an index that lost the masks of every other bucket key,
+    # and a table whose stored ends moved up a row, probed with the index of
+    # the true ends, whose rows verify though the scan does not fetch them
+    masks = array("H", (mask * (k % 2 == lost) for k, mask in enumerate(index.masks)))
+    lossy = dataclasses.replace(index, masks=masks)
+    ends = list(table.ends)
+    shifted = RainbowTable(list(table.starts), ends[1:] + ends[:1], table.perm_seed)
     queries = [rebuild_chain(words[row % len(words)], specs[:depth])[1] for row, depth in hits]
     queries += [md5_hex(b"miss:" + data) for data in misses]
     for query in queries:
@@ -823,6 +879,13 @@ def test_crack_agrees_with_classical(
         assert paths == report.chains_examined
         if cfg.classical_threshold == BUCKET_WIDTH:
             assert report.grover_invocations == 0
+        # with both paths on, the one loop answers as the separate calls do
+        for probed, bucket_index in ((table, index), (table, lossy), (shifted, index)):
+            separate = (
+                crack(query, probed, bucket_index, perm44, specs, cfg),
+                *crack_classical_scan(query, probed, specs),
+            )
+            assert _probe(query, probed, specs, bucket_index, cfg, scan=True) == separate
 
 
 @settings(deadline=None)
