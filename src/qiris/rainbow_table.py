@@ -1,21 +1,21 @@
 """Rainbow table construction, persistence, and the bucket index.
 
 A table stores one chain per wordlist entry, a starting plaintext and a
-final 3-character reduction, as its file's body holds them: the bytes of
-`start<TAB>end` lines and uint32 field offsets, read through views that
-slice fields out and decode them. Field offsets come from the fields' byte
-lengths wherever rows are joined. `generate_table` walks a wordlist's
-chains in numpy chunks (`hashing._walk_chains`) and makes each chunk's rows
-as bytes, the words' UTF-8 with the walk's end bytes. A table's packed end
-column, one uint32 per row holding the end's 3 bytes and a newline, is what
-the bucket index hashes. The classical baseline finds the rows ending in a
-text by one O(N) `str.find` over a string of one character per row. One
-numpy check of a body's bytes, `_CHUNK` rows at a time, holds it to the row
-rule, once per table: in `load_table`, from the field offsets that its scan
-of the file's bytes finds, gathering the end column as it goes, or, for a
-table built in memory, in `save_table` or the end column, from the offsets
-the table holds. On a fault, the per-line row check makes the error for the
-line the fault lies in, or the per-row check for a table's first bad row.
+final 3-character reduction, as its file's body holds them: the ASCII bytes
+of `start<TAB>end` lines, one uint32 offset per line, and the packed end
+column, one uint32 per row holding the end's 3 bytes and a newline, which
+the bucket index hashes. One parser, `_parse`, makes the offsets and the end
+column of every table, whether its body was read from a file (`load_table`),
+made by a wordlist walk (`generate_table`) or joined from two lists: a numpy
+scan of the body's newlines, then one numpy check of the rows against the
+row rule, `_CHUNK` rows at a time, gathering their end codes as it goes. So
+every table keeps the row rule: a body that breaks it is refused as its
+table is built, by the per-line row check for a file's first bad line or
+the per-row check for a table's first bad row. `generate_table` walks a
+wordlist's chains in numpy chunks (`hashing._walk_chains`) and makes each
+chunk's rows as bytes, the words' UTF-8 with the walk's end bytes. The
+classical baseline finds the rows ending in a text by one O(N) `str.find`
+over a string of one character per row.
 The bucket index Pearson-hashes all chain ends at once into 16-bit values
 whose high 12 bits select a bucket and whose low 4 bits are the residues
 searched at crack time. It keeps one 16-bit mask per bucket, bit r of bucket
@@ -30,7 +30,7 @@ import re
 import stat
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
 
@@ -47,16 +47,16 @@ from .prng import MASK64
 TABLE_VERSION = 1
 BUCKET_WIDTH = 16
 
-# A table is joined from lists, walked, and saved, this many rows at a time.
+# A table is joined from lists, walked, checked, and saved, this many rows at a time.
 _CHUNK = 8192
 
-# `load_table` scans a body for its field offsets this many bytes at a time.
+# `_parse` scans a body for its newlines this many bytes at a time.
 _SCAN = 1 << 16
 
 _HEADER_RE = re.compile(r"^QIRIS v(\d{1,20}) seed=(\d{1,20}) chain=R1,R2,R3,R4$")
 
 # The largest table file whose body, 4 GiB - 1 bytes from the header's newline
-# on, fits the uint32 field offsets after the longest header _HEADER_RE takes.
+# on, fits the uint32 line offsets after the longest header _HEADER_RE takes.
 _MAX_FILE = 0xFFFFFFFF + len(f"QIRIS v{'9' * 20} seed={'9' * 20} chain=R1,R2,R3,R4")
 
 # The ASCII bytes that no row holds: whitespace as str.split sees it, but
@@ -89,44 +89,46 @@ class Chain:
 class RainbowTable(Sequence):
     """What a table file holds: its rows, as the file's body holds them, and the seed.
 
-    `body` is the file's bytes after the header: its newline, then each row
-    as a line, `start<TAB>end`. Field k begins at `offsets[k]` (2N + 1
-    entries) and ends one byte before the next: row r's start is field 2r,
-    its end field 2r + 1. `starts`, `ends` and the table, the sequence of
-    its `Chain` rows (`chains`), slice and decode fields on read. Tables are
-    equal when their rows and seeds are; one built from two lists joins
-    their UTF-8 once, lone surrogates passed through, placing the fields by
-    their byte lengths, so it accepts any strings and reads them back as
-    given. Frozen, its row check and end column, made once, stay true.
+    `body` is the file's ASCII bytes after the header: its newline, then
+    each row as a line, `start<TAB>end`. Line r begins at `offsets[r]` (N + 1
+    entries, the last at the body's end), so row r's end code, its end's 3
+    bytes and the newline, is the 4 bytes before `offsets[r + 1]`, and its
+    tab is the byte before them. `end_codes` holds those codes, one
+    read-only little-endian uint32 a row. `starts`, `ends` and the table,
+    the sequence of its `Chain` rows (`chains`), slice and decode on read.
+    Every table keeps the row rule: one built from two lists, or by
+    `generate_table`, refuses its first row that breaks it as
+    `table.chains[i]`. Tables are equal when their rows and seeds are.
     """
 
     body: bytes
     offsets: array
     perm_seed: int
+    end_codes: np.ndarray = field(compare=False, repr=False)
 
     def __init__(self, starts, ends, perm_seed: int):
         if len(starts) != len(ends):
             raise ValueError(f"{len(starts)} starts but {len(ends)} ends")
+        rows = zip(starts, ends)
         chunks = range(0, len(starts), _CHUNK)
-        self._join((_listed_rows(starts[i:i + _CHUNK], ends[i:i + _CHUNK]) for i in chunks),
-                   perm_seed)
+        try:
+            body = b"".join([b"\n", *(_listed_rows(starts[i:i + _CHUNK], ends[i:i + _CHUNK])
+                                     for i in chunks)])
+        except UnicodeEncodeError:  # no row holds a character outside ASCII
+            _refuse(rows)
+        self._hold(body, perm_seed, len(starts), rows)
 
-    def _join(self, parts, perm_seed: int) -> None:
-        """Set body and offsets from `parts`, chunks of rows taken one by one to
-        bound memory: each its rows' bytes, `start<TAB>end` lines, and the
-        byte lengths of their starts and of their ends, which place the fields."""
-        texts, offsets = [b"\n"], array("I", [1])
-        for text, start_lengths, end_lengths in parts:
-            sizes = np.empty((len(start_lengths), 2), np.intp)
-            sizes[:, 0] = start_lengths
-            sizes[:, 1] = end_lengths
-            sizes += 1  # the tab or newline after each field
-            texts.append(text)
-            offsets.frombytes((sizes.cumsum() + offsets[-1]).astype(np.uintc).tobytes())
-        vars(self).update(body=b"".join(texts), offsets=offsets, perm_seed=perm_seed)
+    def _hold(self, body: bytes, perm_seed: int, n: int, rows) -> None:
+        """Hold `body` as the `n` rows `rows`, (start, end) pairs, once `_parse`
+        finds that its lines are those rows and keep the row rule; else
+        refuse the first of `rows` that breaks it."""
+        offsets, end_codes, fault = _parse(body)
+        if fault >= 0 or len(end_codes) != n:  # a field holding a newline adds a line
+            _refuse(rows)
+        vars(self).update(body=body, offsets=offsets, perm_seed=perm_seed, end_codes=end_codes)
 
     def __len__(self):
-        return len(self.offsets) // 2
+        return len(self.offsets) - 1
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -142,37 +144,11 @@ class RainbowTable(Sequence):
 
     @cached_property
     def starts(self) -> "_Column":
-        return _Column(self, 0)
+        return _Column(self, False)
 
     @cached_property
     def ends(self) -> "_Column":
-        return _Column(self, 1)
-
-    @cached_property
-    def _checked(self) -> bool:
-        """True when every row keeps the row rule, checked by `_row_fault` a part
-        of `_CHUNK` rows at a time. A part's only tabs and newlines must be the
-        separators its offsets place, which a field holding one adds to; a
-        non-ASCII byte is one that no row holds. On any fault the first row
-        that breaks the rule is named as `table.chains[i]`."""
-        body = self.body
-        for lo, hi, fields in _row_parts(np.frombuffer(self.offsets, np.uintc)):
-            data = body[lo:hi]
-            separators = np.count_nonzero(np.frombuffer(data, np.uint8) - 9 <= 1)  # \t, \n
-            if separators != len(fields) or _row_fault(data, fields)[0] >= 0:
-                break
-        else:
-            return True
-        for pos, row in enumerate(self):
-            _check_row(row.start, row.end, f"table.chains[{pos}]")
-        raise AssertionError("table.chains: row check and rule disagree")
-
-    @cached_property
-    def end_codes(self) -> np.ndarray:
-        """The packed end column: each row's 3 end bytes and a newline as a read-only
-        little-endian uint32, once the rows keep the row rule (`_checked`)."""
-        self._checked  # noqa: B018  (raises at the first row that breaks the rule)
-        return _end_column(self.body, np.frombuffer(self.offsets, np.uintc)[1::2])
+        return _Column(self, True)
 
     @cached_property
     def end_chars(self) -> str:
@@ -191,10 +167,9 @@ class RainbowTable(Sequence):
 
         A `text` that is not 3 base62 characters matches no row.
         """
-        chars = self.end_chars  # a bad row is refused whatever `text` is
         if not _is_end(text):
             return []
-        point = _end_point(text)
+        chars, point = self.end_chars, _end_point(text)
         rows = []
         row = chars.find(point)
         while row >= 0:
@@ -209,11 +184,11 @@ def _end_point(end: str) -> str:
 
 
 class _Column(Sequence):
-    """A table's starts (field 0) or ends (1); a slice of it is a list."""
+    """A table's starts or, for `ends`, its ends; a slice of it is a list."""
 
-    def __init__(self, table: RainbowTable, field: int):
+    def __init__(self, table: RainbowTable, ends: bool):
         self._body, self._offsets = table.body, table.offsets
-        self._field, self._rows = field, len(table)
+        self._ends, self._rows = ends, len(table)
 
     def __len__(self):
         return self._rows
@@ -225,28 +200,28 @@ class _Column(Sequence):
             i += self._rows
         if not 0 <= i < self._rows:
             raise IndexError("column index out of range")
-        k = 2 * i + self._field
         offsets = self._offsets
-        return self._body[offsets[k]:offsets[k + 1] - 1].decode("utf-8", "surrogatepass")
+        stop = offsets[i + 1]  # one past the row's newline
+        if self._ends:
+            return self._body[stop - 4:stop - 1].decode()
+        return self._body[offsets[i]:stop - 5].decode()
 
 
-def _listed_rows(starts, ends):
-    """One chunk of a table's rows, from lists, as `RainbowTable._join` takes it:
-    their UTF-8, lone surrogates passed through, so any string reads back."""
-    starts, ends = ([field.encode("utf-8", "surrogatepass") for field in fields]
-                    for fields in (starts, ends))
-    rows = zip(starts, repeat(b"\t"), ends, repeat(b"\n"))
-    return b"".join(chain.from_iterable(rows)), _lengths(starts), _lengths(ends)
+def _listed_rows(starts, ends) -> bytes:
+    """One chunk of a table's rows from lists: `start<TAB>end` lines, encoded
+    as ASCII, so a character outside it raises UnicodeEncodeError."""
+    rows = zip(starts, repeat("\t"), ends, repeat("\n"))
+    return "".join(chain.from_iterable(rows)).encode("ascii")
 
 
-def _walked_rows(words, specs):
-    """One chunk of `generate_table`'s rows, as `RainbowTable._join` takes it.
+def _walked_rows(words, specs) -> bytearray:
+    """One chunk of `generate_table`'s rows.
 
     The rows are made as UTF-8 bytes, each word's own then a tab, its end's
     bytes as the walk gives them and a newline.
     """
     messages = [word.encode() for word in words]
-    lengths = _lengths(messages)
+    lengths = np.fromiter(map(len, messages), np.intp, len(messages))
     ends = _walk_chains(messages, lengths, specs)
     width = ends.shape[1]
     # each word, then a tab, `width` bytes that its end's bytes replace, a newline
@@ -254,48 +229,55 @@ def _walked_rows(words, specs):
     # row k's tab follows the words up to its own and k tails of width + 2
     tabs = np.cumsum(lengths) + np.arange(0, len(words) * (width + 2), width + 2)
     np.frombuffer(rows, np.uint8)[tabs[:, None] + np.arange(1, width + 1)] = ends
-    return rows, lengths, width
+    return rows
 
 
-def _lengths(items) -> np.ndarray:
-    """The length of each of `items`, as an intp array."""
-    return np.fromiter(map(len, items), np.intp, len(items))
+def _refuse(rows):
+    """Raise for the first of `rows`, (start, end) pairs, that breaks the row
+    rule, naming it as `table.chains[i]`."""
+    for pos, (start, end) in enumerate(rows):
+        _check_row(start, end, f"table.chains[{pos}]")
+    raise AssertionError("table.chains: row check and rule disagree")
 
 
-def _field_offsets(data: bytes) -> array:
-    """Where each field of a body's rows begins, one past each tab and newline,
-    found 64 KiB at a time so the scan's arrays stay small."""
-    chars = np.frombuffer(data, np.uint8)
-    offsets = array("I")
-    for start in range(0, len(chars), _SCAN):
-        # a tab or a newline, 9 or 10, is the one byte that this leaves at most 1
-        found = np.flatnonzero(chars[start:start + _SCAN] - 9 <= 1)
-        offsets.frombytes((found + (start + 1)).astype(np.uintc).tobytes())
-    return offsets
+def _parse(body: bytes) -> tuple:
+    """The line offsets of `body`, a newline then rows as lines, its end
+    column, and where its rows first break the row rule, -1 if none does.
+
+    A numpy scan finds the newlines 64 KiB at a time, so its masks stay
+    small, and `_row_fault` checks the rows `_CHUNK` at a time, gathering
+    their end codes. On a fault the end column is not whole.
+    """
+    chars = np.frombuffer(body, np.uint8)
+    # a line begins after each newline
+    found = [np.flatnonzero(chars[i:i + _SCAN] == 10).astype(np.uintc) + (i + 1)
+             for i in range(0, len(chars), _SCAN)]
+    offsets = array("I", [0]) * sum(map(len, found))  # exactly N + 1 entries
+    lines = np.concatenate(found, out=np.frombuffer(offsets, np.uintc))
+    del found  # freed before the rows are checked
+    end_codes = np.empty(len(lines) - 1, "<u4")
+    for i in range(0, len(end_codes), _CHUNK):
+        part = lines[i:i + _CHUNK + 1]
+        lo = int(part[0]) - 1  # the newline before the part's first row
+        fault, codes = _row_fault(body[lo:int(part[-1])], np.subtract(part, lo, dtype=np.intp))
+        if fault >= 0:
+            return offsets, end_codes, lo + fault
+        end_codes[i:i + len(codes)] = codes
+    end_codes.flags.writeable = False
+    return offsets, end_codes, -1
 
 
-def _row_parts(offsets: np.ndarray):
-    """A body's rows as the row check takes them, `_CHUNK` rows at a time:
-    each part as `(lo, hi, fields)`, the body's `lo:hi` from the newline
-    before its first row to the end of its last, and its fields' offsets
-    into that text. `offsets` are the body's, their last at its end."""
-    for i in range(0, len(offsets) - 1, 2 * _CHUNK):
-        fields = offsets[i:i + 2 * _CHUNK + 1]
-        lo = int(fields[0]) - 1
-        yield lo, int(fields[-1]), np.subtract(fields, lo, dtype=np.intp)
-
-
-def _row_fault(data: bytes, fields: np.ndarray) -> tuple:
+def _row_fault(data: bytes, lines: np.ndarray) -> tuple:
     """Where the rows in `data` first break the row rule, or -1 if none does,
     and the end codes (see `_end_column`) of the rows before that: with no
     fault, the part's whole end column.
 
-    `data` is a part of a body (see `_row_parts`): a newline, then rows
-    whose field k begins at `fields[k]`, ending at its last separator. The
-    fault is the earliest of: a byte that no row holds; a separator before
-    field k that is not a newline for even k, a tab for odd k; an empty
-    start, an end not 3 bytes long, or an end byte not base62. The earliest
-    lies in the first line that the per-line row check refuses.
+    `data` is a part of a body: a newline, then rows as lines, line r
+    beginning at `lines[r]`, the last ending at `data`'s end. The fault is
+    the earliest of: a byte that no row holds; a line too short for a
+    start, a tab and an end; the byte before a row's end not a tab; any
+    other tab; an end byte not base62. The earliest lies in the first
+    line that the per-line row check refuses.
     """
     chars = np.frombuffer(data, np.uint8)
     # the first byte above 0x7F, or the first of an ASCII value no row holds
@@ -304,22 +286,21 @@ def _row_fault(data: bytes, fields: np.ndarray) -> tuple:
         found = data.find(byte, 0, fault)
         if found >= 0:
             fault = found
-    # a tab before each end; the newline before each start is data[0] or
-    # the byte after the end before it, which the end check below reads
-    ends = fields[1::2]
-    wrong = np.flatnonzero(chars[ends - 1] != 9)
+    # each row's tab is 5 bytes before the next line, after a start byte
+    tabs = lines[1:] - 5
+    short = np.flatnonzero(tabs <= lines[:-1])
+    if len(short):
+        fault = min(fault, int(lines[short[0]]))
+    tabs = tabs[:np.searchsorted(tabs, fault - 4)]  # the rows wholly before the fault
+    wrong = np.flatnonzero(chars[tabs] != 9)
     if len(wrong):
-        fault = min(fault, int(ends[wrong[0]]) - 1)
-    # a start's field and the tab after it are at least 2 bytes
-    empty = np.flatnonzero(ends - fields[:-1:2] < 2)
-    if len(empty):
-        fault = min(fault, int(fields[2 * empty[0]]))
-    # an end holds 3 bytes and a newline follows, which its code below
-    # checks, so no end begins in the part's last 3 bytes
-    short = np.searchsorted(ends, len(data) - 3)
-    if short < len(ends):
-        fault = min(fault, int(ends[short]))
-    ends = ends[:np.searchsorted(ends, fault)]
+        fault, tabs = int(tabs[wrong[0]]), tabs[:wrong[0]]
+    # those tabs being in place, a further tab lies in a start or an end
+    if np.count_nonzero(chars[:fault] == 9) != len(tabs):
+        found = np.flatnonzero(chars[:fault] == 9)
+        other = np.flatnonzero(found[:len(tabs)] != tabs)
+        fault = int(found[other[0] if len(other) else len(tabs)])
+    ends = tabs[:np.searchsorted(tabs, fault)] + 1
     codes = _end_column(data, ends)
     bad = np.flatnonzero(np.frombuffer(codes.tobytes().translate(_END_CLASS), "<u4") != _END_CODE)
     if len(bad):
@@ -328,11 +309,9 @@ def _row_fault(data: bytes, fields: np.ndarray) -> tuple:
 
 
 def _end_column(data: bytes, ends: np.ndarray) -> np.ndarray:
-    """The read-only 4 bytes of `data` at each of `ends`, the offsets of ends
-    that keep the row rule: each end's 3 bytes and the separator after it."""
-    codes = np.ndarray((max(len(data) - 3, 0),), "<u4", data, strides=(1,))[ends]
-    codes.flags.writeable = False
-    return codes
+    """The 4 bytes of `data` at each of `ends`, as little-endian uint32: at
+    the offset of an end, its 3 bytes and the newline after it."""
+    return np.ndarray((max(len(data) - 3, 0),), "<u4", data, strides=(1,))[ends]
 
 
 @dataclass
@@ -390,18 +369,23 @@ class BucketIndex:
 def generate_table(wordlist, specs, perm: PearsonPermutation) -> RainbowTable:
     """Build one chain per word by alternating MD5 and the reduction functions.
 
-    Pure computation: any non-empty list of strings is walked, duplicates
+    Pure computation: a non-empty list of words is walked, duplicates
     included, in input order, through the non-empty `specs`, in numpy chunks
-    of rows whose ends equal walk_chain's. `perm` fixes the table's seed;
-    the ends are hashed by build_buckets. The file format's row rule is
-    checked by save_table.
+    of rows whose ends equal walk_chain's, joined as the walk goes. `perm`
+    fixes the table's seed; the ends are hashed by build_buckets. The rows
+    keep the file format's row rule: the first word that is no plaintext,
+    or a last spec whose length is not 3, is refused as `table.chains[i]`.
+    A word that has no UTF-8 encoding raises UnicodeEncodeError.
     """
     starts = list(wordlist)
     if not starts:
         raise ValueError("wordlist is empty")
-    table = RainbowTable.__new__(RainbowTable)  # joined chunk by chunk as the walk goes
-    chunks = (starts[i:i + _CHUNK] for i in range(0, len(starts), _CHUNK))
-    table._join((_walked_rows(chunk, specs) for chunk in chunks), perm.seed)
+    chunks = range(0, len(starts), _CHUNK)
+    body = b"".join([b"\n", *(_walked_rows(starts[i:i + _CHUNK], specs) for i in chunks)])
+    table = RainbowTable.__new__(RainbowTable)
+    # every end the walk makes is base62 of the last spec's length, so a
+    # stand-in of that length keeps the row rule exactly when they do
+    table._hold(body, perm.seed, len(starts), zip(starts, repeat("0" * specs[-1].length)))
     return table
 
 
@@ -520,8 +504,8 @@ def build_buckets(table: RainbowTable) -> BucketIndex:
 def save_table(table: RainbowTable, path) -> None:
     """Write the table as ASCII text: a header line, then its body's `start<TAB>end` rows.
 
-    Refuses what load_table would: no chains, a seed outside 0..2^64-1, or a
-    row that breaks _check_row, found by the table's one row check.
+    Refuses what load_table would: no chains, or a seed outside 0..2^64-1;
+    the rows kept the row rule when the table was built.
     The body goes in chunks of rows to a temporary file beside the regular
     file, or no file, that `path` names, which it replaces once whole. So a
     save that returns is one load_table reads back as an equal table, and
@@ -531,7 +515,6 @@ def save_table(table: RainbowTable, path) -> None:
         raise ValueError("table has no chains")
     if not 0 <= table.perm_seed <= MASK64:
         raise ValueError(f"permutation seed {table.perm_seed} is outside 0..{MASK64}")
-    table._checked  # noqa: B018  (raises at the first row that breaks the rule)
     real = os.path.realpath(path)
     tmp = f"{real}.{os.urandom(4).hex()}.tmp"
     try:
@@ -546,7 +529,7 @@ def save_table(table: RainbowTable, path) -> None:
             fh.write(b"QIRIS v%d seed=%d chain=R1,R2,R3,R4\n" % (TABLE_VERSION, table.perm_seed))
             for i in range(0, len(table), _CHUNK):
                 j = min(i + _CHUNK, len(table))
-                fh.write(table.body[table.offsets[2 * i]:table.offsets[2 * j]])
+                fh.write(table.body[table.offsets[i]:table.offsets[j]])
         os.replace(tmp, real)
     except BaseException:
         os.remove(tmp)
@@ -559,10 +542,9 @@ def load_table(path) -> RainbowTable:
     A path that is no regular file is refused unopened, a file larger than
     `_MAX_FILE` unread. The file is read once, as bytes; its body, the bytes
     after the header, is kept whole. The permutation seed comes from the
-    header; build_buckets derives the end hashes from it. A numpy scan of
-    the body, 64 KiB at a time, finds the field offsets; `_row_fault` checks
-    the rows against them, `_CHUNK` rows at a time, and gathers the stored
-    end column. Malformed headers, unsupported versions and malformed rows
+    header; build_buckets derives the end hashes from it. `_parse` finds the
+    line offsets, checks the rows and gathers the stored end column, as for
+    every table. Malformed headers, unsupported versions and malformed rows
     are refused with the number of the offending line: for rows, the line
     the first fault lies in, whose error _check_line makes.
     """
@@ -592,24 +574,14 @@ def load_table(path) -> RainbowTable:
     del data  # the file's bytes, held only until the body is sliced out
     if len(body) > 0xFFFFFFFF:
         raise ValueError("table file is 4 GiB or more")
-    offsets = _field_offsets(body)
-    fields = np.frombuffer(offsets, np.uintc)
-    end_codes = np.empty(len(fields) // 2, "<u4")
-    rows = 0
-    for lo, hi, part in _row_parts(fields):
-        fault, codes = _row_fault(body[lo:hi], part)
-        if fault >= 0:
-            fault += lo
-            lineno = body.count(b"\n", 0, fault) + 1
-            line = body[body.rfind(b"\n", 0, fault) + 1:body.index(b"\n", fault)]
-            _check_line(line.decode("latin-1"), lineno)
-            raise AssertionError(f"line {lineno}: row check and rule disagree")
-        end_codes[rows:rows + len(codes)] = codes
-        rows += len(codes)
-    if body == b"\n":
+    offsets, end_codes, fault = _parse(body)
+    if fault >= 0:
+        lineno = body.count(b"\n", 0, fault) + 1
+        line = body[body.rfind(b"\n", 0, fault) + 1:body.index(b"\n", fault)]
+        _check_line(line.decode("latin-1"), lineno)
+        raise AssertionError(f"line {lineno}: row check and rule disagree")
+    if not len(end_codes):
         raise ValueError("table has no chains")
-    end_codes.flags.writeable = False
-    table = RainbowTable.__new__(RainbowTable)  # checked above, with its end column stored
-    vars(table).update(body=body, offsets=offsets, perm_seed=seed, _checked=True,
-                       end_codes=end_codes)
+    table = RainbowTable.__new__(RainbowTable)
+    vars(table).update(body=body, offsets=offsets, perm_seed=seed, end_codes=end_codes)
     return table

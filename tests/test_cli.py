@@ -581,7 +581,7 @@ sys.exit(code)
 @pytest.mark.parametrize("kind", ["dev-zero", "fifo", "directory", "sparse"])
 def test_crack_refuses_a_table_before_reading_it(kind, tmp_path):
     # a table path that is no regular file, or a file too large for the
-    # uint32 field offsets, is refused from its stat: neither read into
+    # uint32 line offsets, is refused from its stat: neither read into
     # memory nor opened, so a FIFO does not block
     if kind == "dev-zero":
         path, message = "/dev/zero", "Not a regular file: '/dev/zero'"

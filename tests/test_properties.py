@@ -23,6 +23,7 @@ from qiris.hashing import (
     PERMUTATION_SIZE,
     ReductionSpec,
     _fisher_yates,
+    _walk_chains,
     build_permutation,
     md5_hex,
     normalize_digest,
@@ -94,11 +95,15 @@ def _reference_walk(word, specs):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(WALK_WORDS, min_size=1, max_size=4), st.lists(SPECS, min_size=1, max_size=5))
-def test_chain_walk_matches_reference(perm44, words, specs):
-    table = generate_table(words, specs, perm44)
-    for word, chain in zip(words, table.chains):
+def test_chain_walk_matches_reference(words, specs):
+    # the numpy walk, as generate_table runs it, on any word's UTF-8 and any
+    # last text length, which no table row holds
+    messages = [word.encode() for word in words]
+    lengths = np.array([len(m) for m in messages], np.intp)
+    ends = _walk_chains(messages, lengths, specs)
+    for word, end in zip(words, ends):
         steps = _reference_walk(word, specs)
-        assert chain.end == steps[-1][0]
+        assert end.tobytes().decode() == steps[-1][0]
         for depth, step in enumerate(steps):
             assert rebuild_chain(word, specs[:depth]) == step
             if depth:
@@ -141,16 +146,41 @@ ROWS = st.one_of(
     ),
 )
 SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([-2, -1, 2**64, 2**64 + 1]))
-TABLES = st.builds(
-    lambda rows, seed: RainbowTable([c.start for c in rows], [c.end for c in rows], seed),
-    st.lists(ROWS, max_size=4),
-    SEEDS,
-)
+
+
+def _first_bad_row(starts, ends):
+    """The error `_check_row` makes for the first of the rows that breaks the
+    row rule, as a table built of them names it, or None."""
+    for i, (start, end) in enumerate(zip(starts, ends)):
+        try:
+            rainbow_table._check_row(start, end, f"table.chains[{i}]")
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+def _built_or_refused(starts, ends, seed=44):
+    """The table of the rows, or None once building it has raised exactly
+    the first bad row's error."""
+    expected = _first_bad_row(starts, ends)
+    try:
+        table = RainbowTable(starts, ends, seed)
+    except ValueError as exc:
+        assert str(exc) == expected
+        return None
+    assert expected is None
+    return table
 
 
 @settings(deadline=None)
-@given(TABLES)
-def test_save_table_succeeds_exactly_when_load_returns_the_table(table):
+@given(st.lists(ROWS, max_size=4), SEEDS)
+def test_save_table_succeeds_exactly_when_load_returns_the_table(rows, seed):
+    # a table is built exactly when its rows keep the row rule; it then
+    # saves, unless it has no rows or its seed is outside 64 bits, to a file
+    # that loads back as the table
+    table = _built_or_refused([c.start for c in rows], [c.end for c in rows], seed)
+    if table is None:
+        return
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.txt")
         with open(path, "wb") as fh:
@@ -160,6 +190,7 @@ def test_save_table_succeeds_exactly_when_load_returns_the_table(table):
         except ValueError:
             with open(path, "rb") as fh:
                 assert fh.read() == b"old bytes"
+            assert not rows or not 0 <= seed <= 2**64 - 1
             return
         assert load_table(path) == table
 
@@ -188,30 +219,18 @@ MEMORY_ENDS = st.one_of(
     st.lists(st.tuples(MEMORY_STARTS, MEMORY_ENDS), min_size=1, max_size=6),
     st.sampled_from([0, rainbow_table._CHUNK - 3]),
 )
-def test_save_table_names_the_first_bad_row_of_a_table_built_in_memory(rows, filler):
+def test_building_a_table_names_its_first_bad_row(rows, filler):
     # the drawn rows follow `filler` good ones, so they can straddle the
     # edge of the row check's first part
     starts = [f"w{i}" for i in range(filler)] + [start for start, _ in rows]
     ends = ["abc"] * filler + [end for _, end in rows]
-    expected = None
-    for i, (start, end) in enumerate(rows, start=filler):
-        try:
-            rainbow_table._check_row(start, end, f"table.chains[{i}]")
-        except ValueError as exc:
-            expected = str(exc)
-            break
-    table = RainbowTable(starts, ends, 44)
+    table = _built_or_refused(starts, ends)
+    if table is None:
+        return
+    assert list(table.starts) == starts and list(table.ends) == ends
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.txt")
-        try:
-            save_table(table, path)
-        except ValueError as exc:
-            assert str(exc) == expected
-            # the end column shares the check, and refuses the same row
-            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-                build_buckets(table)
-            return
-        assert expected is None
+        save_table(table, path)
         assert load_table(path) == table
 
 
@@ -252,30 +271,18 @@ def _variant(rows, data):
 
 @settings(deadline=None)
 @given(ANY_ROWS, st.data())
-def test_a_table_built_in_memory_reads_back_any_strings(rows, data):
-    table = RainbowTable([row.start for row in rows], [row.end for row in rows], 44)
+def test_a_table_built_in_memory_reads_back_its_rows(rows, data):
+    # any strings: a table is built of them exactly when they keep the row
+    # rule, its first bad row named, and then reads them back as given
+    table = _built_or_refused([row.start for row in rows], [row.end for row in rows])
+    other_rows, seed = _variant(rows, data), data.draw(st.sampled_from([44, 45]))
+    other = _built_or_refused([row.start for row in other_rows], [row.end for row in other_rows], seed)
+    if table is None:
+        return
     assert list(table) == rows and table[:] == rows
     assert [table.starts[i] for i in range(len(rows))] == [row.start for row in rows]
     # tables are equal exactly when their rows and seeds are
-    other_rows, seed = _variant(rows, data), data.draw(st.sampled_from([44, 45]))
-    other = RainbowTable([row.start for row in other_rows], [row.end for row in other_rows], seed)
-    assert (other == table) == (other_rows == rows and seed == 44)
-    # save_table refuses the first row that breaks the row rule, by its index
-    expected = None if rows else "table has no chains"
-    for i, row in enumerate(rows):
-        try:
-            rainbow_table._check_row(row.start, row.end, f"table.chains[{i}]")
-        except ValueError as exc:
-            expected = str(exc)
-            break
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "table.txt")
-        try:
-            save_table(table, path)
-        except ValueError as exc:
-            assert str(exc) == expected
-            return
-        assert expected is None and load_table(path) == table
+    assert other is None or (other == table) == (other_rows == rows and seed == 44)
 
 
 def _mutate(data, edits):
@@ -440,12 +447,11 @@ def test_row_check_accepts_exactly_the_lines_the_row_rule_accepts(line):
         is_row = False
     else:
         is_row = True
-    # the line as load_table checks it: the file's bytes after a newline,
-    # its fields where the offset scan finds them
+    # the line as every table's parse checks it: after the newline before
+    # it, the line offsets the newline scan finds
     data = b"\n" + line + b"\n"
-    fields = np.frombuffer(rainbow_table._field_offsets(data), np.uintc)
-    (lo, hi, part), = rainbow_table._row_parts(fields)
-    fault, codes = rainbow_table._row_fault(data[lo:hi], part)
+    offsets, codes, fault = rainbow_table._parse(data)
+    assert list(offsets) == [1, len(data)]
     assert (fault < 0) == is_row
     # a fault lies in the line or at the newline that ends it; a row's
     # check gathers its end code, its end's 3 bytes and the newline

@@ -8,6 +8,7 @@ import tracemalloc
 from array import array
 from collections.abc import Sequence
 
+import numpy as np
 import pytest
 from conftest import fail_third_chunk_write, sorted_end_hashes
 
@@ -22,7 +23,6 @@ from qiris.rainbow_table import (
     load_table,
     save_table,
 )
-from qiris.search import crack_classical_scan
 
 
 def _table(end_for_hash, hashes):
@@ -58,8 +58,6 @@ def test_generate_walks_each_row_alone_across_chunk_edges(perm44, specs):
     chunk = rainbow_table._CHUNK
     rng = random.Random(17)
     words = [format(rng.getrandbits(rng.randint(4, 60)), "x") for _ in range(2 * chunk + 1)]
-    for at in (5, chunk - len(ODD_WORDS) // 2, 2 * chunk - len(ODD_WORDS)):
-        words[at:at + len(ODD_WORDS)] = ODD_WORDS
     ends = [walk_chain(hashlib.md5(w.encode()).digest(), specs) for w in words]
     table = generate_table(words, specs, perm44)
     assert table == RainbowTable(words, ends, 44)
@@ -67,6 +65,16 @@ def test_generate_walks_each_row_alone_across_chunk_edges(perm44, specs):
     for k in (chunk - 1, chunk, chunk + 1):
         head = RainbowTable(words[:k], ends[:k], 44)
         assert generate_table(words[:k], specs, perm44) == head
+    # the numpy walk takes any word's UTF-8, which no table row may hold,
+    # alone among the words beside it
+    for at in (0, 5, chunk - len(ODD_WORDS) // 2):
+        sample = words[:at] + ODD_WORDS + words[at:chunk]
+        messages = [w.encode() for w in sample]
+        lengths = np.array([len(m) for m in messages], np.intp)
+        walked = hashing._walk_chains(messages, lengths, specs)
+        assert [row.tobytes().decode() for row in walked] == [
+            walk_chain(hashlib.md5(m).digest(), specs) for m in messages
+        ]
     # a word that has no UTF-8 encoding is refused, as encoding it refuses it
     with pytest.raises(UnicodeEncodeError):
         generate_table(["ok", "lone\ud800"], specs, perm44)
@@ -152,12 +160,24 @@ def test_generate_refuses_no_reductions(perm44):
     ids=["empty", "space", "tab", "non-ascii"],
 )
 def test_save_rejects_bad_starts(words, fragment, perm44, specs, tmp_path):
-    # generate_table walks any string; the file's row rule is save_table's
-    table = generate_table(words, specs, perm44)
+    # the file's row rule holds for every table, so generate_table refuses
+    # the first bad word and no table of it reaches save_table
     path = tmp_path / "bad.txt"
     with pytest.raises(ValueError, match=fragment):
-        save_table(table, path)
+        save_table(generate_table(words, specs, perm44), path)
     assert not path.exists()
+
+
+def test_generate_refuses_ends_that_are_not_3_characters(perm44, specs):
+    # the walk's ends are as long as the last spec's texts
+    short = [*specs[:-1], dataclasses.replace(specs[-1], length=2)]
+    for bad_specs, words, fragment in [
+        (short, ["password"], r"chains\[0\]: end must be 3 base62"),
+        (short, ["a b", "password"], r"chains\[0\]: .* whitespace"),
+        (specs[:1], ["password"], r"chains\[0\]: end must be 3 base62"),
+    ]:
+        with pytest.raises(ValueError, match=f"^table\\.{fragment}"):
+            generate_table(words, bad_specs, perm44)
 
 
 def test_buckets_single_value(end_for_hash):
@@ -268,14 +288,12 @@ def test_bucket_reconstruction_roundtrip(table_name, request, perm44):
         (["abc", "ab!"], 1),
     ],
 )
-def test_build_buckets_names_the_bad_end(ends, row, specs):
-    # the index build and the classical scan both read the packed end column
+def test_build_buckets_names_the_bad_end(ends, row):
+    # the index build and the classical scan read the packed end column,
+    # which every table has: a bad end is refused as its table is built
     message = rf"^table\.chains\[{row}\]: end must be 3 base62 characters$"
-    query = md5_hex("w0")
-    for read_ends in (build_buckets, lambda table: crack_classical_scan(query, table, specs)):
-        table = RainbowTable([f"w{i}" for i in range(len(ends))], ends, 44)
-        with pytest.raises(ValueError, match=message):
-            read_ends(table)
+    with pytest.raises(ValueError, match=message):
+        RainbowTable([f"w{i}" for i in range(len(ends))], ends, 44)
 
 
 def test_end_hash_indices(end_for_hash, perm44):
@@ -346,70 +364,72 @@ def test_tables_are_equal_when_their_rows_and_seeds_are(table100, tmp_path):
     assert load_table(path) == table == table100
     assert table != RainbowTable(starts[:99], ends[:99], 44)
     assert table != RainbowTable(starts, ends, 45)
-    # fields holding a tab or a newline are placed by their lengths, so the
-    # rows read back as given, and two tables of one body can differ
-    rows = [Chain("a\tabc\nb", "xyz"), Chain("", "é€"), Chain("c", "\t")]
-    odd = RainbowTable([row.start for row in rows], [row.end for row in rows], 44)
-    assert list(odd) == rows and odd[-3] == rows[0] and odd[1:] == rows[1:]
-    assert RainbowTable(["a\tb"], ["c"], 44) != RainbowTable(["a"], ["b\tc"], 44)
+    # a field holding a tab or a newline breaks the row rule, so no two
+    # tables share a body but differ in their rows
+    for starts, ends, fragment in [
+        (["a\tabc\nb"], ["xyz"], r"chains\[0\]: start .* whitespace"),
+        (["a\tb"], ["abc"], r"chains\[0\]: start .* whitespace"),
+        (["a"], ["b\tc"], r"chains\[0\]: end must be"),
+        (["ok", "é"], ["abc", "abc"], r"chains\[1\]: start .* not ASCII"),
+        (["ok", "\ud800"], ["abc", "abc"], r"chains\[1\]: start .* not ASCII"),
+        (["ok"], ["é€a"], r"chains\[0\]: end must be"),
+    ]:
+        with pytest.raises(ValueError, match=f"^table\\.{fragment}"):
+            RainbowTable(starts, ends, 44)
 
 
-def test_row_rule_is_searched_once_per_table(monkeypatch, tmp_path):
-    # save_table and the end column share one check of a table built in
-    # memory, a part of rows at a time; a loaded table was checked by
-    # load_table, which stored the end column that its check gathered
-    searched, parts, gathered = [], [], []
+def test_row_rule_is_searched_once_per_table(perm44, specs, monkeypatch, tmp_path):
+    # every table is parsed once, as it is built or loaded, and its rows
+    # checked a part at a time, each part's end codes gathered in its
+    # check; save_table and build_buckets read what the parse stored
+    parsed, parts, gathered = [], [], []
 
-    def searching(offsets):
-        searched.append(len(offsets) // 2)
-        return row_parts(offsets)
+    def parsing(body):
+        parsed.append(body.count(b"\n") - 1)
+        return parse(body)
 
-    def checking(data, fields):
-        parts.append(len(fields) // 2)
-        return row_fault(data, fields)
+    def checking(data, lines):
+        parts.append(len(lines) - 1)
+        return row_fault(data, lines)
 
     def gathering(data, ends):
         gathered.append(len(ends))
         return end_column(data, ends)
 
-    row_parts, row_fault = rainbow_table._row_parts, rainbow_table._row_fault
+    parse, row_fault = rainbow_table._parse, rainbow_table._row_fault
     end_column = rainbow_table._end_column
-    monkeypatch.setattr(rainbow_table, "_row_parts", searching)
+    monkeypatch.setattr(rainbow_table, "_parse", parsing)
     monkeypatch.setattr(rainbow_table, "_row_fault", checking)
     monkeypatch.setattr(rainbow_table, "_end_column", gathering)
-    table = RainbowTable(_words(20_000), ["abc"] * 20_000, 44)
+    chunk = rainbow_table._CHUNK
+    parts_of_20k = [chunk, chunk, 20_000 - 2 * chunk]
     path = tmp_path / "table.txt"
-    save_table(table, path)
-    build_buckets(table)
-    save_table(table, path)
-    assert len(searched) == 1
-    parts_of_20k = [rainbow_table._CHUNK, rainbow_table._CHUNK, 20_000 - 2 * rainbow_table._CHUNK]
-    assert parts == parts_of_20k
-    # one gather a part to check, and the whole column for the buckets
-    assert gathered == [*parts_of_20k, 20_000]
-    loaded = load_table(path)
-    assert len(searched) == 2 and "end_codes" in vars(loaded)
-    assert searched == [20_000, 20_000] and len(parts) == 6
-    # the load gathers each part's ends once, in its check
-    assert gathered == [*parts_of_20k, 20_000, *parts_of_20k]
-    assert build_buckets(loaded) == build_buckets(table)
-    save_table(loaded, path)
-    assert len(searched) == 2
-    assert loaded.end_codes.tobytes() == table.end_codes.tobytes()
-    assert not loaded.end_codes.flags.writeable
-    # the end column keeps the whole row rule, as save_table does
-    bad = RainbowTable(["w0", "a b"], ["abc", "abc"], 44)
-    for read_rows in (build_buckets, lambda rows: save_table(rows, path)):
-        with pytest.raises(ValueError, match=r"^table\.chains\[1\]: .* whitespace$"):
-            read_rows(bad)
+    words = _words(20_000)
+    for build in (
+        lambda: RainbowTable(words, ["abc"] * 20_000, 44),
+        lambda: generate_table(words, specs, perm44),
+        lambda: load_table(path),
+    ):
+        for log in (parsed, parts, gathered):
+            log.clear()
+        table = build()
+        assert parsed == [20_000] and parts == parts_of_20k and gathered == parts_of_20k
+        assert table.end_codes.tobytes() == b"".join(
+            end.encode() + b"\n" for end in table.ends
+        )
+        assert not table.end_codes.flags.writeable
+        save_table(table, path)
+        index = build_buckets(table)
+        assert len(parsed) == 1 and len(parts) == len(gathered) == 3
+        assert build_buckets(load_table(path)) == index
 
 
 def test_loaded_table_memory(tmp_path):
-    # the loaded rows are one bytes body and one offset array, not a string
-    # per row, and the offsets are found a part of the body at a time: the
-    # file's bytes and the body (1.1 MB each for w0..w99999, 1.3 MB for
-    # seeded 6-10-character base62 words, as a real wordlist has) and what
-    # is held set the peak
+    # the loaded rows are one bytes body, one offset a line and one end
+    # code a row, not a string per row, and the newlines are found a part of
+    # the body at a time: the file's bytes and the body (1.1 MB each for
+    # w0..w99999, 1.3 MB for seeded 6-10-character base62 words, as a real
+    # wordlist has) and what is held set the peak
     rows = 100_000
     rng = random.Random(0)
     base62 = ["".join(rng.choices(BASE62_ALPHABET, k=rng.randint(6, 10))) for _ in range(rows)]
@@ -423,6 +443,8 @@ def test_loaded_table_memory(tmp_path):
         finally:
             tracemalloc.stop()
         assert len(table) == rows and held < 4 * 2**20 and peak < 5 * 2**20
+        # N + 1 line offsets and N end codes beside the body
+        assert held <= len(table.body) + 8 * rows + 64 * 2**10
 
 
 def test_rows_ending_scans_the_end_column():
@@ -552,9 +574,10 @@ def test_load_rejects_non_ascii(tmp_path):
 
 
 def test_save_rejects_non_canonical_ends(tmp_path):
-    table = RainbowTable(["word"], ["ab"], 44)
-    with pytest.raises(ValueError, match="base62"):
-        save_table(table, tmp_path / "bad.txt")
+    # refused as the table is built, so there is nothing to save
+    with pytest.raises(ValueError, match=r"^table\.chains\[0\]: end must be 3 base62"):
+        save_table(RainbowTable(["word"], ["ab"], 44), tmp_path / "bad.txt")
+    assert os.listdir(tmp_path) == []
 
 
 def _words(rows, bad_row=None, bad_start=None):
