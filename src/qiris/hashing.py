@@ -5,13 +5,13 @@ base62 reduction functions R1..R4 that map digests back into the plaintext
 space, and the chain walk that alternates the two. `walk_chain` walks one
 chain with hashlib, for crack and verify. `generate_table` walks a whole
 wordlist with `_walk_chains`, the same walk in numpy over chunks of rows.
-One RFC 1321 block step in numpy, `_md5_block`, takes the padded message
+One RFC 1321 block step in numpy, `_md5_prefixes`, takes the padded message
 words of all rows at once: first of the words' UTF-8 bytes, each word that
 one block holds padded with its own length, a longer word hashed by hashlib;
-then of the fixed-length base62 texts after them. `build_permutation`'s
-Fisher-Yates shuffle is computed in numpy too, identical to the swap loop,
-and its table is held once, as a read-only uint16 buffer that `pearson16`
-and numpy both read.
+then of the fixed-length base62 texts after them, which one block holds.
+`build_permutation`'s Fisher-Yates shuffle is computed in numpy too,
+identical to the swap loop, and its table is held once, as a read-only
+uint16 buffer that `pearson16` and numpy both read.
 """
 
 import hashlib
@@ -44,10 +44,6 @@ _prefix = struct.Struct(">I").unpack_from
 
 _BASE62_BYTES = np.frombuffer(BASE62_ALPHABET.encode(), np.uint8)
 
-# A prefix (below 2**32) plus a nonce's low part (below 62**10) is below
-# 2 * 62**10 < 2**64, so its low 10 digits come from uint64 arithmetic.
-_LOW_DIGITS = 10
-
 # The longest message that one MD5 block holds with its padding: a 0x80
 # byte and the 8-byte bit length.
 _BLOCK_BYTES = 55
@@ -64,7 +60,11 @@ _MD5_WORD = tuple(
 
 @dataclass(frozen=True)
 class ReductionSpec:
-    """One reduction function: add `nonce` to the digest prefix and emit `length` base62 chars."""
+    """One reduction function: add `nonce` to the digest prefix and emit `length` base62 chars.
+
+    `nonce` lies in 0..2**32 - 1, so a 32-bit prefix plus it fits a uint64,
+    and `length` in 1..55, so the text fits one MD5 block with its padding.
+    """
 
     nonce: int
     length: int
@@ -73,8 +73,12 @@ class ReductionSpec:
     def __post_init__(self):
         if self.nonce < 0:
             raise ValueError("nonce must be non-negative")
+        if self.nonce > 0xFFFFFFFF:
+            raise ValueError("nonce must be at most 2**32 - 1")
         if self.length < 1:
             raise ValueError("length must be at least 1")
+        if self.length > _BLOCK_BYTES:
+            raise ValueError(f"length must be at most {_BLOCK_BYTES}, one MD5 block")
         if not 1 <= self.index <= 4:
             raise ValueError("index must be in 1..4")
 
@@ -223,14 +227,13 @@ def _base62(v: int, length: int) -> str:
 def _walk_chains(messages: list, lengths: np.ndarray, specs) -> np.ndarray:
     """`walk_chain` from the MD5 of each of `messages`, bytes of the given
     `lengths`, through `specs`: the ends as an (n, length) uint8 array whose
-    row k holds the base62 bytes of message k's end.
+    row k holds the base62 bytes of message k's end. `specs` is not empty.
 
     The messages' own MD5s take one block step over all rows, and hashlib
     for a message longer than a block. Every later text is `length` base62
-    bytes, so numpy reduces and hashes all rows at once.
+    bytes, at most 55 (see `ReductionSpec`), so numpy reduces all rows at
+    once in uint64 and hashes them in one block step.
     """
-    if not specs:
-        raise ValueError("a chain walk needs at least one reduction")
     *inner, last = specs
     prefixes = _message_prefixes(messages, lengths)
     for spec in inner:
@@ -240,20 +243,14 @@ def _walk_chains(messages: list, lengths: np.ndarray, specs) -> np.ndarray:
 
 def _base62_digits(prefixes: np.ndarray, spec: ReductionSpec) -> np.ndarray:
     """`_base62(prefix + spec.nonce, spec.length)` for every uint64 prefix, as
-    base62 bytes: row k holds digit k of every prefix's text.
+    base62 bytes: row k holds digit k of every prefix's text. A prefix and
+    a nonce are both below 2**32, so their sum fits a uint64.
     """
-    high, low = divmod(spec.nonce, 62**_LOW_DIGITS)
-    v = prefixes + low
+    v = prefixes + spec.nonce
     digits = np.empty((spec.length, len(v)), np.uint8)
-    for k in range(min(spec.length, _LOW_DIGITS)):
+    for k in range(spec.length):
         v, digit = np.divmod(v, 62)
         digits[k] = _BASE62_BYTES[digit]
-    if spec.length > _LOW_DIGITS:
-        # v is now the carry into digit 10, 0 or 1, so the digits above it
-        # are those of `high` or of `high + 1`
-        width = spec.length - _LOW_DIGITS
-        above = (_base62(high, width) + _base62(high + 1, width)).encode()
-        digits[_LOW_DIGITS:] = np.frombuffer(above, np.uint8).reshape(2, width).T[:, v]
     return digits
 
 
@@ -277,16 +274,15 @@ def _message_prefixes(messages: list, lengths: np.ndarray) -> np.ndarray:
 
 
 def _text_words(text: np.ndarray) -> list:
-    """The padded MD5 message words of every column of `text`, an (L, N)
-    array of byte k of N texts of L bytes each: (N,) uint32 arrays for the
-    words holding text bytes, then the padding's words as ints, the same in
-    every row.
+    """The 16 padded MD5 message words of every column of `text`, an (L, N)
+    array of byte k of N texts of L <= 55 bytes each: (N,) uint32 arrays for
+    the words holding text bytes, then the padding's words as ints, the same
+    in every row.
     """
     length, n = text.shape
-    padding = bytearray(64 * ((length + 8) // 64 + 1))
-    padding[length] = 0x80
-    padding[-8:] = (8 * length).to_bytes(8, "little")
-    padding = struct.unpack(f"<{len(padding) // 4}I", padding)
+    # the text's bytes as zeros, the 0x80 byte, zeros and the bit length
+    padding = struct.pack(f"<{length}xB{_BLOCK_BYTES - length}xQ", 0x80, 8 * length)
+    padding = struct.unpack("<16I", padding)
     message = np.zeros(((length + 3) // 4, n, 4), np.uint8)
     for k in range(length):
         message[k // 4, :, k % 4] = text[k]
@@ -295,30 +291,18 @@ def _text_words(text: np.ndarray) -> list:
     return [*message, *padding[len(message):]]
 
 
-def _md5_prefixes(words) -> np.ndarray:
-    """The reduction prefix of the MD5 of N padded messages of B blocks, given
-    as their 16 * B message words (see `_md5_block`), the first an array.
+def _md5_prefixes(m) -> np.ndarray:
+    """The reduction prefix of the MD5 of N one-block messages, the digest's
+    first 4 bytes read big-endian, from their 16 padded little-endian
+    message words `m`, each an (N,) uint32 array or an int that every
+    message shares, the first an array.
 
-    The prefix is the digest's first 4 bytes read big-endian: the
-    byte-swapped first state word.
+    RFC 1321's compression of the block runs one step over all N messages
+    at a time, as far as the digest's first word needs: the b that step 60
+    leaves, which steps 61-63 only carry into a.
     """
-    state = [np.full(len(words[0]), s, np.uint32) for s in _MD5_INIT]
-    for block in range(len(words) // 16 - 1):
-        state = [x + y for x, y in zip(state, _md5_block(state, words[16 * block:16 * block + 16]))]
-    # steps 61-63 only carry step 60's b into a, so the last block stops there
-    b = _md5_block(state, words[-16:], 61)[1]
-    return (state[0] + b).byteswap().astype(np.uint64)
-
-
-def _md5_block(state, m, steps: int = 64) -> tuple:
-    """The first `steps` steps of RFC 1321's compression of one block into
-    `state`, four (N,) uint32 arrays, one step over all N messages at a time:
-    the working words a, b, c, d they leave, to be added to `state`. The 16
-    message words `m` are little-endian, each an (N,) uint32 array or an int
-    that every message shares.
-    """
-    a, b, c, d = state
-    for i in range(steps):
+    a, b, c, d = (np.full(len(m[0]), s, np.uint32) for s in _MD5_INIT)
+    for i in range(61):
         if i < 16:
             f = d ^ (b & (c ^ d))
         elif i < 32:
@@ -336,4 +320,4 @@ def _md5_block(state, m, steps: int = 64) -> tuple:
             f += _MD5_K[i]
         s = _MD5_S[i]
         a, d, c, b = d, c, b, b + (f << s | f >> (32 - s))
-    return a, b, c, d
+    return (b + _MD5_INIT[0]).byteswap().astype(np.uint64)

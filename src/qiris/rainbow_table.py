@@ -47,7 +47,7 @@ from .prng import MASK64
 TABLE_VERSION = 1
 BUCKET_WIDTH = 16
 
-# A table is joined from lists, walked, checked, and saved, this many rows at a time.
+# A table is joined from lists, walked and checked this many rows at a time.
 _CHUNK = 8192
 
 # `_parse` scans a body for its newlines this many bytes at a time.
@@ -109,19 +109,19 @@ class RainbowTable(Sequence):
     def __init__(self, starts, ends, perm_seed: int):
         if len(starts) != len(ends):
             raise ValueError(f"{len(starts)} starts but {len(ends)} ends")
-        rows = zip(starts, ends)
         chunks = range(0, len(starts), _CHUNK)
+        parts = (_listed_rows(starts[i:i + _CHUNK], ends[i:i + _CHUNK]) for i in chunks)
+        self._hold(parts, perm_seed, len(starts), zip(starts, ends))
+
+    def _hold(self, parts, perm_seed: int, n: int, rows) -> None:
+        """Join `parts`, chunks of rows as bytes, into the body and hold it
+        as the `n` rows `rows`, (start, end) pairs, once `_parse` finds that
+        its lines are those rows and keep the row rule. Else, or if a part
+        cannot encode its rows, refuse the first of `rows` that breaks it."""
         try:
-            body = b"".join([b"\n", *(_listed_rows(starts[i:i + _CHUNK], ends[i:i + _CHUNK])
-                                     for i in chunks)])
+            body = b"".join([b"\n", *parts])
         except UnicodeEncodeError:  # no row holds a character outside ASCII
             _refuse(rows)
-        self._hold(body, perm_seed, len(starts), rows)
-
-    def _hold(self, body: bytes, perm_seed: int, n: int, rows) -> None:
-        """Hold `body` as the `n` rows `rows`, (start, end) pairs, once `_parse`
-        finds that its lines are those rows and keep the row rule; else
-        refuse the first of `rows` that breaks it."""
         offsets, end_codes, fault = _parse(body)
         if fault >= 0 or len(end_codes) != n:  # a field holding a newline adds a line
             _refuse(rows)
@@ -374,18 +374,20 @@ def generate_table(wordlist, specs, perm: PearsonPermutation) -> RainbowTable:
     of rows whose ends equal walk_chain's, joined as the walk goes. `perm`
     fixes the table's seed; the ends are hashed by build_buckets. The rows
     keep the file format's row rule: the first word that is no plaintext,
-    or a last spec whose length is not 3, is refused as `table.chains[i]`.
-    A word that has no UTF-8 encoding raises UnicodeEncodeError.
+    one with no UTF-8 encoding included, or a last spec whose length is not
+    3, is refused as `table.chains[i]`.
     """
     starts = list(wordlist)
     if not starts:
         raise ValueError("wordlist is empty")
+    if not specs:
+        raise ValueError("a chain walk needs at least one reduction")
     chunks = range(0, len(starts), _CHUNK)
-    body = b"".join([b"\n", *(_walked_rows(starts[i:i + _CHUNK], specs) for i in chunks)])
     table = RainbowTable.__new__(RainbowTable)
     # every end the walk makes is base62 of the last spec's length, so a
     # stand-in of that length keeps the row rule exactly when they do
-    table._hold(body, perm.seed, len(starts), zip(starts, repeat("0" * specs[-1].length)))
+    table._hold((_walked_rows(starts[i:i + _CHUNK], specs) for i in chunks), perm.seed,
+                len(starts), zip(starts, repeat("0" * specs[-1].length)))
     return table
 
 
@@ -506,7 +508,7 @@ def save_table(table: RainbowTable, path) -> None:
 
     Refuses what load_table would: no chains, or a seed outside 0..2^64-1;
     the rows kept the row rule when the table was built.
-    The body goes in chunks of rows to a temporary file beside the regular
+    The body goes in one write to a temporary file beside the regular
     file, or no file, that `path` names, which it replaces once whole. So a
     save that returns is one load_table reads back as an equal table, and
     any other leaves `path` as it was.
@@ -526,10 +528,9 @@ def save_table(table: RainbowTable, path) -> None:
         raise
     try:
         with fh:
-            fh.write(b"QIRIS v%d seed=%d chain=R1,R2,R3,R4\n" % (TABLE_VERSION, table.perm_seed))
-            for i in range(0, len(table), _CHUNK):
-                j = min(i + _CHUNK, len(table))
-                fh.write(table.body[table.offsets[i]:table.offsets[j]])
+            # the body begins with the header's newline
+            fh.write(b"QIRIS v%d seed=%d chain=R1,R2,R3,R4" % (TABLE_VERSION, table.perm_seed))
+            fh.write(table.body)
         os.replace(tmp, real)
     except BaseException:
         os.remove(tmp)

@@ -142,16 +142,16 @@ def sorted_end_hashes(table, perm):
 
 
 class _FailingFile:
-    """A file opened for writing whose fourth write raises `exc`: save_table
-    writes the header, then one write per chunk of rows, so the fourth is
-    the third chunk."""
+    """A file opened for writing whose second write raises `exc`: save_table
+    writes the header, then the body in one write, so the second is the
+    body's."""
 
     def __init__(self, fh, exc):
         self.fh, self.exc, self.writes = fh, exc, 0
 
     def write(self, text):
         self.writes += 1
-        if self.writes == 4:
+        if self.writes == 2:
             raise self.exc
         return self.fh.write(text)
 
@@ -162,9 +162,9 @@ class _FailingFile:
         self.fh.close()
 
 
-def fail_third_chunk_write(monkeypatch, exc):
+def fail_body_write(monkeypatch, exc):
     """Make every file that `qiris.rainbow_table` opens for writing raise
-    `exc` when its third chunk of rows is written; reads are untouched."""
+    `exc` when the table's body is written; reads are untouched."""
 
     def opening(file, mode="r", *args, **kwargs):
         fh = open(file, mode, *args, **kwargs)

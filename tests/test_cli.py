@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import fail_third_chunk_write
+from conftest import fail_body_write
 
 import qiris.search
 from qiris import rainbow_table
@@ -74,7 +74,7 @@ def test_generate_failing_midway_keeps_the_old_table(workspace, tmp_path, monkey
     old = out.read_bytes()
     words = tmp_path / "words.txt"
     words.write_text("".join(f"w{i}\n" for i in range(20_000)), encoding="ascii")
-    fail_third_chunk_write(monkeypatch, OSError(errno.ENOSPC, "No space left on device"))
+    fail_body_write(monkeypatch, OSError(errno.ENOSPC, "No space left on device"))
     code = run_cli(["generate", "--wordlist", str(words), "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 2

@@ -157,8 +157,19 @@ def test_canonical_specs():
         {"nonce": 0, "length": 0, "index": 1},
         {"nonce": 0, "length": 3, "index": 0},
         {"nonce": 0, "length": 3, "index": 5},
+        {"nonce": 2**32, "length": 3, "index": 1},
+        {"nonce": 0, "length": 56, "index": 1},
     ],
 )
 def test_reduction_spec_validation(kwargs):
     with pytest.raises(ValueError):
         ReductionSpec(**kwargs)
+
+
+def test_reduction_spec_names_the_bounds_it_refuses():
+    # the domain's edges are accepted; one past them is refused by its bound
+    assert ReductionSpec(nonce=2**32 - 1, length=55, index=4).length == 55
+    with pytest.raises(ValueError, match=r"^nonce must be at most 2\*\*32 - 1$"):
+        ReductionSpec(nonce=2**32, length=3, index=1)
+    with pytest.raises(ValueError, match="^length must be at most 55, one MD5 block$"):
+        ReductionSpec(nonce=0, length=56, index=1)

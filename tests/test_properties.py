@@ -33,7 +33,7 @@ from qiris.hashing import (
 )
 from qiris.prng import GAMMA, splitmix64_block
 from qiris import rainbow_table
-from qiris.cli import _MAX_HASHES_LINE, _read_hashes, main
+from qiris.cli import _MAX_HASHES_LINE, _read_hashes, _read_wordlist, main
 from qiris.quantum_sim import _SHOT_CHUNK, grover_decisions, grover_search
 from qiris.rainbow_table import (
     BUCKET_WIDTH,
@@ -61,18 +61,22 @@ ASCII_WORDS = st.text(
 )
 # Words past one MD5 block, non-ASCII included, for the chain walk property.
 WALK_WORDS = st.one_of(ASCII_WORDS, st.text(min_size=56, max_size=200))
-# Lengths at the MD5 padding edges of 1, 2 and 3 blocks, and nonces at the
-# edges of 62**10 and of uint64, so prefix + nonce can carry past both.
+# Specs over the whole domain that `ReductionSpec` accepts, nonces in
+# 0..2**32 - 1 and lengths in 1..55, with its edges: nonces 0 and 2**32 - 1,
+# and lengths 54 and 55, the last two that one MD5 block holds.
 SPECS = st.builds(
     ReductionSpec,
     nonce=st.one_of(
         st.integers(0, 64),
-        st.integers(0, 2**70),
-        st.sampled_from([0, 62**10 - 1, 2**64 - 1, 2**70]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0, 2**32 - 1]),
     ),
-    length=st.one_of(st.integers(1, 16), st.sampled_from([55, 56, 63, 64, 119, 120])),
+    length=st.one_of(st.integers(1, 16), st.integers(1, 55), st.sampled_from([54, 55])),
     index=st.integers(1, 4),
 )
+EDGE_SPECS = [
+    ReductionSpec(2**32 - 1, 55, 1), ReductionSpec(0, 54, 2), ReductionSpec(2**32 - 1, 3, 4)
+]
 
 REFERENCE_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 HEADER = b"QIRIS v1 seed=44 chain=R1,R2,R3,R4\n"
@@ -95,6 +99,8 @@ def _reference_walk(word, specs):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(WALK_WORDS, min_size=1, max_size=4), st.lists(SPECS, min_size=1, max_size=5))
+@example(words=["a" * 55, "b" * 56], specs=EDGE_SPECS)
+@example(words=["x"], specs=EDGE_SPECS[::-1])
 def test_chain_walk_matches_reference(words, specs):
     # the numpy walk, as generate_table runs it, on any word's UTF-8 and any
     # last text length, which no table row holds
@@ -112,6 +118,8 @@ def test_chain_walk_matches_reference(words, specs):
 
 
 @given(st.binary(min_size=16, max_size=16), SPECS)
+@example(digest=b"\xff" * 16, spec=EDGE_SPECS[0])
+@example(digest=bytes(16), spec=ReductionSpec(0, 55, 1))
 def test_reduce_matches_reference(digest, spec):
     expected = _reference_reduce(digest.hex(), spec)
     assert reduce(digest.hex(), spec) == expected
@@ -524,6 +532,70 @@ def test_cli_input_files_fail_only_with_one_line_naming_error(command, wordlist,
     _assert_one_error_line(stderr)
     message = stderr[len("error: "):-1]
     assert message in WHOLE_FILE_ERRORS or re.match(LINE_PREFIXES[command], message)
+
+
+# wordlist lines: words, empty lines, any bytes, and a word with one byte at
+# the edge of a byte class inserted
+WORDLIST_LINES = st.one_of(
+    st.sampled_from([b"password", b"monkey", b""]),
+    st.binary(max_size=10),
+    st.builds(
+        lambda word, at, byte: word[:at] + byte + word[at:],
+        st.sampled_from([b"word", b""]),
+        st.integers(0, 4),
+        st.sampled_from(CLASS_EDGES),
+    ),
+)
+# each line ending in LF or CRLF, so a CRLF line falls before or after a bad
+# line, and a last line with no newline after it, or none
+MIXED_WORDLISTS = st.builds(
+    lambda lines, last: b"".join(line + end for line, end in lines) + last,
+    st.lists(st.tuples(WORDLIST_LINES, st.sampled_from([b"\n", b"\r\n"])), max_size=5),
+    st.one_of(st.just(b""), WORDLIST_LINES),
+)
+
+
+def _reference_read_wordlist(data):
+    """The words of wordlist bytes `data`, one a non-empty line, read one
+    line at a time: the first line that ends in CRLF is named first, then
+    the first non-empty line that is not ASCII or holds whitespace."""
+    lines = data.split(b"\n")
+    for lineno, line in enumerate(lines[:-1], start=1):  # the last has no LF
+        if line.endswith(b"\r"):
+            raise ValueError(f"wordlist line {lineno}: file has CRLF line endings; use LF")
+    words = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        if max(line) > 0x7F:
+            raise ValueError(f"wordlist line {lineno}: start plaintext is not ASCII")
+        if any(byte in b"\t\x0b\x0c\r\x1c\x1d\x1e\x1f " for byte in line):
+            raise ValueError(f"wordlist line {lineno}: start plaintext contains whitespace")
+        words.append(line.decode("ascii"))
+    return words
+
+
+@settings(deadline=None)
+@given(st.one_of(WORDLISTS, MIXED_WORDLISTS))
+@example(data=b"ok\nbad word\nx\r\n")
+@example(data=b"a\r\nb\x80\n")
+@example(data=b"a\nb\r")
+@example(data=b"\n\nlast\x1f")
+def test_wordlist_reader_matches_a_per_line_reference(data):
+    # the reader returns exactly the non-empty lines, or raises exactly what
+    # the per-line reference raises
+    try:
+        expected = _reference_read_wordlist(data)
+    except ValueError as exc:
+        expected = str(exc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "words.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            assert _read_wordlist(path) == expected
+        except ValueError as exc:
+            assert str(exc) == expected
 
 
 def _whole_hashes_file(data):

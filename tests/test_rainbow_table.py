@@ -10,7 +10,7 @@ from collections.abc import Sequence
 
 import numpy as np
 import pytest
-from conftest import fail_third_chunk_write, sorted_end_hashes
+from conftest import fail_body_write, sorted_end_hashes
 
 from qiris import hashing, rainbow_table
 from qiris.hashing import BASE62_ALPHABET, build_permutation, md5_hex, pearson16, walk_chain
@@ -75,9 +75,16 @@ def test_generate_walks_each_row_alone_across_chunk_edges(perm44, specs):
         assert [row.tobytes().decode() for row in walked] == [
             walk_chain(hashlib.md5(m).digest(), specs) for m in messages
         ]
-    # a word that has no UTF-8 encoding is refused, as encoding it refuses it
-    with pytest.raises(UnicodeEncodeError):
-        generate_table(["ok", "lone\ud800"], specs, perm44)
+    # a word that has no UTF-8 encoding is refused as a row that is not
+    # ASCII, after any earlier bad row, as the list constructor refuses it
+    for words, message in [
+        (["ok", "lone\ud800"], "table.chains[1]: start plaintext is not ASCII"),
+        (["a b", "lone\ud800"], "table.chains[0]: start plaintext contains whitespace"),
+    ]:
+        for build in (lambda: generate_table(words, specs, perm44),
+                      lambda: RainbowTable(words, ["abc"] * len(words), 44)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
 
 
 def test_generate_memory(perm44, specs):
@@ -98,23 +105,23 @@ def test_generate_memory(perm44, specs):
 
 def test_generate_hashes_a_long_word_with_hashlib(perm44, specs, monkeypatch):
     # a word longer than one MD5 block takes its MD5 from hashlib, so a chunk
-    # runs one numpy block step for its words, and those of the inner
-    # reductions' texts, whatever its longest word
+    # runs one numpy block step for its words, and one for each inner
+    # reduction's texts, whatever its longest word
     calls = []
 
-    def counting(state, m, steps=64):
-        calls.append(steps)
-        return md5_block(state, m, steps)
+    def counting(m):
+        calls.append(len(m))
+        return md5_prefixes(m)
 
-    md5_block = hashing._md5_block
-    monkeypatch.setattr(hashing, "_md5_block", counting)
+    md5_prefixes = hashing._md5_prefixes
+    monkeypatch.setattr(hashing, "_md5_prefixes", counting)
     rng = random.Random(5)
     words = [format(rng.getrandbits(48), "x") for _ in range(rainbow_table._CHUNK)]
     words[100] = "w" * 65536
     table = generate_table(words, specs, perm44)
     assert list(table.ends) == [walk_chain(hashlib.md5(w.encode()).digest(), specs) for w in words]
-    text_blocks = sum((spec.length + 8) // 64 + 1 for spec in specs[:-1])
-    assert len(calls) <= 1 + text_blocks
+    # the words' layer, then one layer per inner reduction, 16 words each
+    assert calls == [16] * len(specs)
 
 
 def test_generate_preserves_order(table100, buckets100, words100, perm44):
@@ -641,7 +648,7 @@ def test_save_refuses_before_opening(starts, ends, seed, fragment, tmp_path):
 def test_save_failing_midway_leaves_the_old_file(exc, monkeypatch, tmp_path):
     path = tmp_path / "table.txt"
     path.write_bytes(b"old bytes")
-    fail_third_chunk_write(monkeypatch, exc)
+    fail_body_write(monkeypatch, exc)
     with pytest.raises(type(exc)) as raised:
         save_table(RainbowTable(_words(20_000), ["abc"] * 20_000, 44), path)
     assert raised.value is exc
