@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 not-found or quantum/classical disagreement,
 2 usage or format error. All randomness flows from --perm-seed (table
-construction) and --rng-seed (measurement sampling).
+construction) and --rng-seed (measurement sampling). Each input is checked
+once: a wordlist's words by the row check of the table they make (a refused
+wordlist is reread only to name its line), a digest by one normalisation.
 """
 
 import argparse
@@ -22,7 +24,7 @@ from .rainbow_table import (
     load_table,
     save_table,
 )
-from .search import SearchConfig, SearchReport, _probe, crack
+from .search import SearchConfig, SearchReport, _probe
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 1
@@ -37,16 +39,6 @@ COMPARE_CSV_HEADER = (
 _MAX_HASHES_LINE = 64
 
 _REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(SearchReport) if f.name != "result")
-
-
-def _read_wordlist(path):
-    text = _read_bytes(path, "wordlist line").decode("latin-1")
-    words = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if line:
-            _check_plaintext(line, f"wordlist line {lineno}")
-            words.append(line)
-    return words
 
 
 def _read_hashes(path):
@@ -79,9 +71,16 @@ def _read_hashes(path):
 def cmd_generate(args) -> int:
     if not 0 <= args.perm_seed <= MASK64:
         raise ValueError(f"--perm-seed must be in 0..{MASK64}, got {_clip(args.perm_seed)}")
-    words = _read_wordlist(args.wordlist)
+    lines = _read_bytes(args.wordlist, "wordlist line").decode("latin-1").split("\n")
     perm = _permutation(args.perm_seed)
-    table = generate_table(words, canonical_reduction_specs(), perm)
+    try:
+        table = generate_table(filter(None, lines), canonical_reduction_specs(), perm)
+    except ValueError:
+        # name the first bad word by its wordlist line, not its table row
+        for lineno, line in enumerate(lines, start=1):
+            if line:
+                _check_plaintext(line, f"wordlist line {lineno}")
+        raise
     save_table(table, args.out)
     print(f"chains={len(table)}")
     print(f"buckets={sum(1 for mask in build_buckets(table).masks if mask)}")
@@ -93,7 +92,7 @@ def cmd_crack(args) -> int:
     cfg = SearchConfig(args.shots, args.classical_threshold, args.rng_seed)
     table = load_table(args.table)
     index = build_buckets(table)
-    report = crack(digest, table, index, index.perm, canonical_reduction_specs(), cfg)
+    report = _probe(digest, table, canonical_reduction_specs(), index, cfg)[0]
     if report.result is not None:
         print(report.result)
     if args.report:

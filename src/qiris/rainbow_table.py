@@ -405,8 +405,9 @@ def _clip(value, limit: int = 60) -> str:
 def _check_plaintext(text: str, where: str) -> None:
     """Reject a chain start plaintext unless it is non-empty ASCII without whitespace.
 
-    The one rule for every plaintext that enters a table, whether from a
-    wordlist or a table file; `where` locates it in the error message.
+    `_row_fault` holds every table's starts to this rule; this form runs
+    only once a body is refused, to name its first refused row, table line
+    or wordlist line, which `where` locates in the error message.
     """
     if text.isascii() and text.split() == [text]:
         return

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from conftest import fail_body_write
 
+import qiris.cli
 import qiris.search
 from qiris import rainbow_table
 from qiris.cli import COMPARE_CSV_HEADER, main
@@ -144,6 +145,53 @@ def test_generate_rejects_bad_wordlist_bytes(tmp_path, capsys, content, fragment
     code = run_cli(["generate", "--wordlist", str(bad), "--out", str(tmp_path / "t.txt")])
     assert code == 2
     assert fragment in capsys.readouterr().err
+
+
+def _count_plaintext_checks(monkeypatch):
+    """The `where` of every `_check_plaintext` call that qiris.cli and
+    qiris.rainbow_table make from now on."""
+    calls = []
+    check = rainbow_table._check_plaintext
+
+    def counting(text, where):
+        calls.append(where)
+        check(text, where)
+
+    for module in (qiris.cli, rainbow_table):
+        monkeypatch.setattr(module, "_check_plaintext", counting)
+    return calls
+
+
+def test_generate_checks_each_word_once(tmp_path, capsys, monkeypatch):
+    # the table's row check is a valid wordlist's only check: no per-word call
+    words = tmp_path / "words.txt"
+    words.write_text("".join(f"w{i}\n" for i in range(20_000)), encoding="ascii")
+    calls = _count_plaintext_checks(monkeypatch)
+    code = run_cli(["generate", "--wordlist", str(words), "--out", str(tmp_path / "t.txt")])
+    assert code == 0 and capsys.readouterr().out.startswith("chains=20000\n")
+    assert calls == []
+
+
+def test_generate_names_a_bad_word_past_the_first_chunk_by_its_line(
+    tmp_path, capsys, monkeypatch
+):
+    # a blank line after each word sets a word's line number apart from its
+    # row, and the bad word lies in the walk's second chunk of rows
+    row = rainbow_table._CHUNK + 300
+    lines = [f"w{i}\n\n" for i in range(row + 500)]
+    lines[row] = "bad word\n\n"
+    words, out = tmp_path / "words.txt", tmp_path / "t.txt"
+    words.write_text("".join(lines), encoding="ascii")
+    calls = _count_plaintext_checks(monkeypatch)
+    code = run_cli(["generate", "--wordlist", str(words), "--out", str(out)])
+    captured = capsys.readouterr()
+    lineno = 2 * row + 1
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: wordlist line {lineno}: start plaintext contains whitespace\n"
+    assert not out.exists()
+    # the wordlist is read again line by line only up to the bad word
+    named = [where for where in calls if where.startswith("wordlist line ")]
+    assert len(named) == row + 1 and named[-1] == f"wordlist line {lineno}"
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

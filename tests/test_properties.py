@@ -33,7 +33,7 @@ from qiris.hashing import (
 )
 from qiris.prng import GAMMA, splitmix64_block
 from qiris import rainbow_table
-from qiris.cli import _MAX_HASHES_LINE, _read_hashes, _read_wordlist, main
+from qiris.cli import _MAX_HASHES_LINE, _read_hashes, main
 from qiris.quantum_sim import _SHOT_CHUNK, grover_decisions, grover_search
 from qiris.rainbow_table import (
     BUCKET_WIDTH,
@@ -582,20 +582,26 @@ def _reference_read_wordlist(data):
 @example(data=b"a\nb\r")
 @example(data=b"\n\nlast\x1f")
 def test_wordlist_reader_matches_a_per_line_reference(data):
-    # the reader returns exactly the non-empty lines, or raises exactly what
-    # the per-line reference raises
+    # `qiris generate` makes a table of exactly the non-empty lines, or
+    # refuses the file with exactly what the per-line reference raises
     try:
-        expected = _reference_read_wordlist(data)
+        expected = _reference_read_wordlist(data) or "wordlist is empty"
     except ValueError as exc:
         expected = str(exc)
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "words.txt")
+        path, out = os.path.join(tmp, "words.txt"), os.path.join(tmp, "table.txt")
         with open(path, "wb") as fh:
             fh.write(data)
-        try:
-            assert _read_wordlist(path) == expected
-        except ValueError as exc:
-            assert str(exc) == expected
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["generate", "--wordlist", path, "--out", out])
+        if isinstance(expected, str):
+            assert (code, stdout.getvalue(), stderr.getvalue()) == (2, "", f"error: {expected}\n")
+            assert not os.path.exists(out)
+        else:
+            assert code == 0 and stderr.getvalue() == ""
+            assert stdout.getvalue().startswith(f"chains={len(expected)}\nbuckets=")
+            assert list(load_table(out).starts) == expected
 
 
 def _whole_hashes_file(data):
