@@ -4,12 +4,13 @@ Exit codes: 0 success, 1 not-found or quantum/classical disagreement,
 2 usage or format error. All randomness flows from --perm-seed (table
 construction) and --rng-seed (measurement sampling). Each input is checked
 once: a wordlist's words by the row check of the table they make (a refused
-wordlist is reread only to name its line), a digest by one normalisation.
+row names its line), a digest by one normalisation.
 """
 
 import argparse
 import dataclasses
 import sys
+from itertools import compress, count, islice
 
 from .hashing import DEFAULT_PERM_SEED, canonical_reduction_specs, normalize_digest
 from .prng import MASK64
@@ -75,11 +76,10 @@ def cmd_generate(args) -> int:
     perm = _permutation(args.perm_seed)
     try:
         table = generate_table(filter(None, lines), canonical_reduction_specs(), perm)
-    except ValueError:
-        # name the first bad word by its wordlist line, not its table row
-        for lineno, line in enumerate(lines, start=1):
-            if line:
-                _check_plaintext(line, f"wordlist line {lineno}")
+    except ValueError as exc:
+        if hasattr(exc, "row"):  # a refused word: name its line, the row-th non-empty one
+            lineno = next(islice(compress(count(1), lines), exc.row, None))
+            _check_plaintext(lines[lineno - 1], f"wordlist line {lineno}")
         raise
     save_table(table, args.out)
     print(f"chains={len(table)}")

@@ -10,12 +10,11 @@ made by a wordlist walk (`generate_table`) or joined from two lists: a numpy
 scan of the body's newlines, then one numpy check of the rows against the
 row rule, `_CHUNK` rows at a time, gathering their end codes as it goes. So
 every table keeps the row rule: a body that breaks it is refused as its
-table is built, by the per-line row check for a file's first bad line or
-the per-row check for a table's first bad row. `generate_table` walks a
-wordlist's chains in numpy chunks (`hashing._walk_chains`) and makes each
-chunk's rows as bytes, the words' UTF-8 with the walk's end bytes. The
-classical baseline finds the rows ending in a text by one O(N) `str.find`
-over a string of one character per row.
+table is built, its first bad row named by the row check. `generate_table`
+walks a wordlist's chains in numpy chunks (`hashing._walk_chains`) and
+makes each chunk's rows as bytes, the words' UTF-8 with the walk's end
+bytes. The classical baseline finds the rows ending in a text by one O(N)
+`str.find` over a string of one character per row.
 The bucket index Pearson-hashes all chain ends at once into 16-bit values
 whose high 12 bits select a bucket and whose low 4 bits are the residues
 searched at crack time. It keeps one 16-bit mask per bucket, bit r of bucket
@@ -29,6 +28,7 @@ import os
 import re
 import stat
 from array import array
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -97,8 +97,8 @@ class RainbowTable(Sequence):
     read-only little-endian uint32 a row. `starts`, `ends` and the table,
     the sequence of its `Chain` rows (`chains`), slice and decode on read.
     Every table keeps the row rule: one built from two lists, or by
-    `generate_table`, refuses its first row that breaks it as
-    `table.chains[i]`. Tables are equal when their rows and seeds are.
+    `generate_table`, refuses its first bad row as `table.chains[i]`, i
+    being the error's `row`. Tables are equal when their rows and seeds are.
     """
 
     body: bytes
@@ -111,21 +111,31 @@ class RainbowTable(Sequence):
             raise ValueError(f"{len(starts)} starts but {len(ends)} ends")
         chunks = range(0, len(starts), _CHUNK)
         parts = (_listed_rows(starts[i:i + _CHUNK], ends[i:i + _CHUNK]) for i in chunks)
-        self._hold(parts, perm_seed, len(starts), zip(starts, ends))
+        self._hold(parts, perm_seed, len(starts), lambda i: (starts[i], ends[i]))
 
-    def _hold(self, parts, perm_seed: int, n: int, rows) -> None:
+    def _hold(self, parts, perm_seed: int, n: int, row) -> None:
         """Join `parts`, chunks of rows as bytes, into the body and hold it
-        as the `n` rows `rows`, (start, end) pairs, once `_parse` finds that
-        its lines are those rows and keep the row rule. Else, or if a part
-        cannot encode its rows, refuse the first of `rows` that breaks it."""
+        as the `n` rows `row(i)` gives, (start, end) pairs, if its lines are
+        those rows and keep the row rule. Else check the row `_parse` refused
+        (every row, where a newline or a lone surrogate in a field leaves no
+        line per row); the first bad one raises, its index as the error's `row`."""
         try:
             body = b"".join([b"\n", *parts])
-        except UnicodeEncodeError:  # no row holds a character outside ASCII
-            _refuse(rows)
-        offsets, end_codes, fault = _parse(body)
-        if fault >= 0 or len(end_codes) != n:  # a field holding a newline adds a line
-            _refuse(rows)
-        vars(self).update(body=body, offsets=offsets, perm_seed=perm_seed, end_codes=end_codes)
+        except UnicodeEncodeError:  # a lone surrogate, which no row holds
+            end_codes, fault = (), 0
+        else:
+            offsets, end_codes, fault = _parse(body)
+        placed = len(end_codes) == n  # no field holds a newline: line i is row i
+        if placed and fault < 0:
+            vars(self).update(body=body, offsets=offsets, perm_seed=perm_seed, end_codes=end_codes)
+            return
+        for i in [fault] if placed else range(n):
+            try:
+                _check_row(*row(i), f"table.chains[{i}]")
+            except ValueError as exc:
+                exc.row = i
+                raise
+        raise AssertionError("table.chains: row check and rule disagree")
 
     def __len__(self):
         return len(self.offsets) - 1
@@ -208,10 +218,10 @@ class _Column(Sequence):
 
 
 def _listed_rows(starts, ends) -> bytes:
-    """One chunk of a table's rows from lists: `start<TAB>end` lines, encoded
-    as ASCII, so a character outside it raises UnicodeEncodeError."""
+    """One chunk of a table's rows from lists: `start<TAB>end` lines in UTF-8,
+    so of all characters only a lone surrogate raises UnicodeEncodeError."""
     rows = zip(starts, repeat("\t"), ends, repeat("\n"))
-    return "".join(chain.from_iterable(rows)).encode("ascii")
+    return "".join(chain.from_iterable(rows)).encode()
 
 
 def _walked_rows(words, specs) -> bytearray:
@@ -232,17 +242,9 @@ def _walked_rows(words, specs) -> bytearray:
     return rows
 
 
-def _refuse(rows):
-    """Raise for the first of `rows`, (start, end) pairs, that breaks the row
-    rule, naming it as `table.chains[i]`."""
-    for pos, (start, end) in enumerate(rows):
-        _check_row(start, end, f"table.chains[{pos}]")
-    raise AssertionError("table.chains: row check and rule disagree")
-
-
 def _parse(body: bytes) -> tuple:
     """The line offsets of `body`, a newline then rows as lines, its end
-    column, and where its rows first break the row rule, -1 if none does.
+    column, and the first row that breaks the row rule, -1 if none does.
 
     A numpy scan finds the newlines 64 KiB at a time, so its masks stay
     small, and `_row_fault` checks the rows `_CHUNK` at a time, gathering
@@ -261,7 +263,7 @@ def _parse(body: bytes) -> tuple:
         lo = int(part[0]) - 1  # the newline before the part's first row
         fault, codes = _row_fault(body[lo:int(part[-1])], np.subtract(part, lo, dtype=np.intp))
         if fault >= 0:
-            return offsets, end_codes, lo + fault
+            return offsets, end_codes, bisect_right(offsets, lo + fault) - 1
         end_codes[i:i + len(codes)] = codes
     end_codes.flags.writeable = False
     return offsets, end_codes, -1
@@ -387,7 +389,7 @@ def generate_table(wordlist, specs, perm: PearsonPermutation) -> RainbowTable:
     # every end the walk makes is base62 of the last spec's length, so a
     # stand-in of that length keeps the row rule exactly when they do
     table._hold((_walked_rows(starts[i:i + _CHUNK], specs) for i in chunks), perm.seed,
-                len(starts), zip(starts, repeat("0" * specs[-1].length)))
+                len(starts), lambda i: (starts[i], "0" * specs[-1].length))
     return table
 
 
@@ -405,9 +407,8 @@ def _clip(value, limit: int = 60) -> str:
 def _check_plaintext(text: str, where: str) -> None:
     """Reject a chain start plaintext unless it is non-empty ASCII without whitespace.
 
-    `_row_fault` holds every table's starts to this rule; this form runs
-    only once a body is refused, to name its first refused row, table line
-    or wordlist line, which `where` locates in the error message.
+    `_row_fault` holds every table's starts to this rule; this form names
+    the one bad row or line of a refused body, which `where` locates.
     """
     if text.isascii() and text.split() == [text]:
         return
@@ -576,12 +577,10 @@ def load_table(path) -> RainbowTable:
     del data  # the file's bytes, held only until the body is sliced out
     if len(body) > 0xFFFFFFFF:
         raise ValueError("table file is 4 GiB or more")
-    offsets, end_codes, fault = _parse(body)
-    if fault >= 0:
-        lineno = body.count(b"\n", 0, fault) + 1
-        line = body[body.rfind(b"\n", 0, fault) + 1:body.index(b"\n", fault)]
-        _check_line(line.decode("latin-1"), lineno)
-        raise AssertionError(f"line {lineno}: row check and rule disagree")
+    offsets, end_codes, row = _parse(body)
+    if row >= 0:  # row r is line r + 2, after the header
+        _check_line(body[offsets[row]:offsets[row + 1] - 1].decode("latin-1"), row + 2)
+        raise AssertionError(f"line {row + 2}: row check and rule disagree")
     if not len(end_codes):
         raise ValueError("table has no chains")
     table = RainbowTable.__new__(RainbowTable)

@@ -147,18 +147,23 @@ def test_generate_rejects_bad_wordlist_bytes(tmp_path, capsys, content, fragment
     assert fragment in capsys.readouterr().err
 
 
-def _count_plaintext_checks(monkeypatch):
-    """The `where` of every `_check_plaintext` call that qiris.cli and
-    qiris.rainbow_table make from now on."""
+def _count_checks(monkeypatch):
+    """(name, where) for every `_check_plaintext`, `_check_row` and
+    `_check_line` call that qiris.cli and qiris.rainbow_table make from now on."""
     calls = []
-    check = rainbow_table._check_plaintext
 
-    def counting(text, where):
-        calls.append(where)
-        check(text, where)
+    def counting(name, check):
+        def counted(*args):
+            calls.append((name, args[-1]))
+            check(*args)
 
-    for module in (qiris.cli, rainbow_table):
-        monkeypatch.setattr(module, "_check_plaintext", counting)
+        return counted
+
+    for name in ("_check_plaintext", "_check_row", "_check_line"):
+        counted = counting(name, getattr(rainbow_table, name))
+        for module in (qiris.cli, rainbow_table):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -166,7 +171,7 @@ def test_generate_checks_each_word_once(tmp_path, capsys, monkeypatch):
     # the table's row check is a valid wordlist's only check: no per-word call
     words = tmp_path / "words.txt"
     words.write_text("".join(f"w{i}\n" for i in range(20_000)), encoding="ascii")
-    calls = _count_plaintext_checks(monkeypatch)
+    calls = _count_checks(monkeypatch)
     code = run_cli(["generate", "--wordlist", str(words), "--out", str(tmp_path / "t.txt")])
     assert code == 0 and capsys.readouterr().out.startswith("chains=20000\n")
     assert calls == []
@@ -182,16 +187,34 @@ def test_generate_names_a_bad_word_past_the_first_chunk_by_its_line(
     lines[row] = "bad word\n\n"
     words, out = tmp_path / "words.txt", tmp_path / "t.txt"
     words.write_text("".join(lines), encoding="ascii")
-    calls = _count_plaintext_checks(monkeypatch)
+    calls = _count_checks(monkeypatch)
     code = run_cli(["generate", "--wordlist", str(words), "--out", str(out)])
     captured = capsys.readouterr()
     lineno = 2 * row + 1
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: wordlist line {lineno}: start plaintext contains whitespace\n"
     assert not out.exists()
-    # the wordlist is read again line by line only up to the bad word
-    named = [where for where in calls if where.startswith("wordlist line ")]
-    assert len(named) == row + 1 and named[-1] == f"wordlist line {lineno}"
+    # the table checks the one row its parse refused, the CLI that row's line
+    named = [where for _, where in calls if str(where).startswith("wordlist line ")]
+    assert named == [f"wordlist line {lineno}"]
+    assert [where for name, where in calls if name == "_check_row"] == [f"table.chains[{row}]"]
+
+    # a table from two lists, and a table file, are each refused past their
+    # first chunk by one check of the bad row or line
+    starts, path = [line.strip() for line in lines], tmp_path / "table.txt"
+    for bad, why in [("bad word", "contains whitespace"), ("bad\xe9", "is not ASCII")]:
+        starts[row] = bad
+        calls.clear()
+        with pytest.raises(ValueError) as refused:
+            RainbowTable(starts, ["abc"] * len(starts), 44)
+        assert str(refused.value) == f"table.chains[{row}]: start plaintext {why}"
+        assert [name for name, _ in calls] == ["_check_row", "_check_plaintext"]
+        path.write_bytes(HEADER + b"".join(b"\n%b\tabc" % start.encode() for start in starts))
+        calls.clear()
+        with pytest.raises(ValueError) as refused:
+            load_table(path)
+        assert str(refused.value) == f"line {row + 2}: start plaintext {why}"
+        assert [name for name, _ in calls] == ["_check_line", "_check_row", "_check_plaintext"]
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

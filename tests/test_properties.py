@@ -242,6 +242,36 @@ def test_building_a_table_names_its_first_bad_row(rows, filler):
         assert load_table(path) == table
 
 
+# Words for `generate_table`: plaintexts, and words that break the row rule
+# by whitespace, a newline (a line more than there are rows, two lines that
+# keep the rule in "a\tabc\nb"), a character outside ASCII or a lone
+# surrogate (no UTF-8 bytes).
+GENERATED_WORDS = st.one_of(
+    ASCII_WORDS,
+    st.sampled_from(["", " ", "\t", "\n", "a\nb", "a\tabc\nb", "é", "lone\ud800"]),
+    LATIN1_TEXT,
+)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(GENERATED_WORDS, min_size=1, max_size=6),
+    st.sampled_from([0, rainbow_table._CHUNK - 3]),
+)
+def test_generating_a_table_names_its_first_bad_word(specs, perm44, words, filler):
+    # every walked end keeps the row rule, as the stand-in end "000" does,
+    # so a word is refused exactly when its row with that end would be
+    words = [f"w{i}" for i in range(filler)] + words
+    expected = _first_bad_row(words, ["000"] * len(words))
+    try:
+        table = generate_table(words, specs, perm44)
+    except ValueError as exc:
+        assert str(exc) == expected
+        assert str(exc).startswith(f"table.chains[{exc.row}]: ")
+        return
+    assert expected is None and list(table.starts) == words
+
+
 # Any string as a field of a table built in memory: lone surrogates (and a
 # pair of them, which is not the astral character they would encode), astral
 # characters, tabs, newlines and the empty string among them.
@@ -461,9 +491,9 @@ def test_row_check_accepts_exactly_the_lines_the_row_rule_accepts(line):
     offsets, codes, fault = rainbow_table._parse(data)
     assert list(offsets) == [1, len(data)]
     assert (fault < 0) == is_row
-    # a fault lies in the line or at the newline that ends it; a row's
-    # check gathers its end code, its end's 3 bytes and the newline
-    assert is_row or 1 <= fault <= len(line) + 1
+    # a refused line is the body's first row; a row's check gathers its end
+    # code, its end's 3 bytes and the newline
+    assert is_row or fault == 0
     assert not is_row or codes.tolist() == [int.from_bytes(data[-4:], "little")]
 
 
